@@ -1,8 +1,7 @@
-// Simulator-core microbenchmark: raw event-queue throughput of the two engines
-// (reference binary heap vs production calendar queue) on adversarial time
-// distributions, plus the allocation counters that show the slab pool and raw-callback
-// paths doing their job (DESIGN.md §2.21). No cluster, no protocols — this isolates the
-// scheduling hot path that dominates bench_fig4_saturation's wall clock.
+// Simulator-core microbenchmark: raw calendar-queue throughput on three time profiles,
+// plus the counters that show the slab pool, the raw-callback path and the calendar's
+// bucket adaptation doing their job (DESIGN.md §2.21). No cluster, no protocols — this
+// isolates the scheduling hot path that dominates bench_fig4_saturation's wall clock.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -46,20 +45,20 @@ constexpr Profile kProfiles[] = {
     {"far-future", &FarFuture},
 };
 
-struct EngineResult {
+struct ProfileResult {
   double ops_per_sec = 0.0;
   uint64_t executed = 0;
   size_t pool_slabs = 0;
   size_t pool_capacity = 0;
   size_t peak_pending = 0;
   uint64_t boxed_events = 0;
+  uint64_t queue_resizes = 0;
 };
 
 // Self-scheduling raw event: each firing schedules `fanout` successors until the budget
 // runs dry, with a seeded cancel mix (roughly 1 in 8 scheduled events is cancelled).
-template <class Queue>
 struct Driver {
-  SimulationT<Queue>* sim;
+  Simulation* sim;
   const Profile* profile;
   uint64_t remaining;
   EventId pending_cancel{};
@@ -82,27 +81,26 @@ struct Driver {
   }
 };
 
-template <class Queue>
-EngineResult RunEngine(SimEngine engine, const Profile& profile, uint64_t budget,
-                       uint64_t seed) {
-  SimulationT<Queue> sim(seed, engine);
-  Driver<Queue> driver{&sim, &profile, budget, kInvalidEvent};
+ProfileResult RunProfile(const Profile& profile, uint64_t budget, uint64_t seed) {
+  Simulation sim(seed);
+  Driver driver{&sim, &profile, budget, kInvalidEvent};
   // Seed a handful of initial chains so the queue carries realistic parallelism.
   for (int i = 0; i < 64 && driver.remaining > 0; ++i, --driver.remaining) {
-    sim.ScheduleRawAfter(profile.delay(sim.rng()), &Driver<Queue>::Fire, &driver);
+    sim.ScheduleRawAfter(profile.delay(sim.rng()), &Driver::Fire, &driver);
   }
   const auto start = std::chrono::steady_clock::now();
   sim.RunUntilIdle();
   const auto stop = std::chrono::steady_clock::now();
   const double secs = std::chrono::duration<double>(stop - start).count();
 
-  EngineResult r;
+  ProfileResult r;
   r.executed = sim.executed_events();
   r.ops_per_sec = secs > 0.0 ? static_cast<double>(r.executed) / secs : 0.0;
   r.pool_slabs = sim.pool().slabs();
   r.pool_capacity = sim.pool().capacity();
   r.peak_pending = sim.peak_pending_events();
   r.boxed_events = sim.boxed_events();
+  r.queue_resizes = sim.queue().resizes();
   return r;
 }
 
@@ -111,22 +109,18 @@ int Main() {
       static_cast<uint64_t>(2'000'000 * BenchScale()) < 100'000
           ? 100'000
           : static_cast<uint64_t>(2'000'000 * BenchScale());
-  std::printf("# Simulator core — event-queue engines head-to-head (%llu events/profile)\n\n",
+  std::printf("# Simulator core — calendar event queue by time profile (%llu events/profile)"
+              "\n\n",
               static_cast<unsigned long long>(budget));
-  TablePrinter table({"profile", "engine", "events/sec", "peak pending", "pool slabs",
-                      "pool capacity", "boxed events"});
+  TablePrinter table({"profile", "events/sec", "peak pending", "pool slabs", "pool capacity",
+                      "boxed events", "queue resizes"});
   for (const Profile& profile : kProfiles) {
-    for (int e = 0; e < 2; ++e) {
-      const bool calendar = e == 1;
-      EngineResult r =
-          calendar ? RunEngine<CalendarQueue>(SimEngine::kCalendar, profile, budget, 42)
-                   : RunEngine<HeapQueue>(SimEngine::kHeap, profile, budget, 42);
-      table.AddRow({profile.name, calendar ? "calendar" : "heap",
-                    TablePrinter::Num(r.ops_per_sec / 1e6, 3) + "M",
-                    std::to_string(r.peak_pending), std::to_string(r.pool_slabs),
-                    std::to_string(r.pool_capacity), std::to_string(r.boxed_events)});
-      std::fprintf(stderr, "  done %s/%s\n", profile.name, calendar ? "calendar" : "heap");
-    }
+    const ProfileResult r = RunProfile(profile, budget, 42);
+    table.AddRow({profile.name, TablePrinter::Num(r.ops_per_sec / 1e6, 3) + "M",
+                  std::to_string(r.peak_pending), std::to_string(r.pool_slabs),
+                  std::to_string(r.pool_capacity), std::to_string(r.boxed_events),
+                  std::to_string(r.queue_resizes)});
+    std::fprintf(stderr, "  done %s\n", profile.name);
   }
   table.Print();
   std::printf("\nSteady-state protocol traffic schedules through the raw path: boxed\n");

@@ -1,26 +1,14 @@
-// Event-queue engines for the discrete-event core (see DESIGN.md §2.21).
+// Event queue for the discrete-event core (see DESIGN.md §2.21).
 //
-// Events are slab-pooled, intrusively-linked EventNodes; the queue engines order them
-// strictly by (time, seq) — seq is the global schedule order, so equal-time events pop
-// FIFO. Two interchangeable engines implement the same compile-time interface:
+// Events are slab-pooled, intrusively-linked EventNodes ordered strictly by (time, seq) —
+// seq is the global schedule order, so equal-time events pop FIFO. The queue is a calendar
+// queue (Brown 1988): an adaptive ring of "day" buckets, each a sorted intrusive list.
+// Schedule and pop are O(1) amortized; cancel unlinks in O(1) via the node pointer.
 //
-//   HeapQueue     the reference engine: a binary heap of node pointers with lazy
-//                 cancellation (a cancelled node stays in the heap, marked, and is
-//                 reclaimed when it surfaces). Simple and obviously correct — the
-//                 differential test in tests/sim_queue_test.cc races CalendarQueue
-//                 against it.
-//   CalendarQueue the hot-path engine (Brown 1988): an adaptive ring of "day" buckets,
-//                 each a sorted intrusive list. Schedule and pop are O(1) amortized;
-//                 cancel unlinks in O(1) via the node pointer. Bucket count and width
-//                 adapt to the live event population.
-//   DualQueue     both engines behind one runtime switch, so a whole Cluster/chaos run
-//                 can be executed under either engine from a config knob while the
-//                 pure engines stay available as template parameters for head-to-head
-//                 benchmarks.
-//
-// Determinism contract: both engines dequeue in exactly (time, seq) order, so the
-// simulation schedule — and therefore every event-log/journal/KV-history digest — is
-// bit-identical regardless of engine. The equivalence suite enforces this.
+// Determinism contract: the queue dequeues in exactly (time, seq) order, so the simulation
+// schedule — and therefore every event-log/journal/KV-history digest — is a pure function
+// of (seed, config). tests/sim_queue_test.cc races it against a test-local ordered-set
+// reference under a differential fuzz.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
@@ -28,21 +16,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "src/common/sim_time.h"
 
 namespace achilles {
-
-// Which queue engine a Simulation (or a whole Cluster / chaos run) executes under.
-enum class SimEngine : uint8_t {
-  kCalendar,  // Calendar queue + pooled nodes (default, fast path).
-  kHeap,      // Reference binary heap (equivalence runs, differential tests).
-};
-
-const char* SimEngineName(SimEngine engine);
-bool SimEngineFromName(std::string_view name, SimEngine* out);
 
 // Fixed-shape event callback: no allocation, no type erasure. The dominant events
 // (message delivery, timer fire, drain start) all fit (obj, a, b).
@@ -58,8 +36,7 @@ struct EventNode {
   uint64_t gen = 1;
   EventNode* prev = nullptr;
   EventNode* next = nullptr;
-  uint32_t bucket = 0;      // Calendar bucket index (valid while linked).
-  bool cancelled = false;   // Heap engine's lazy-removal marker.
+  uint32_t bucket = 0;  // Calendar bucket index (valid while linked).
   // Tagged callback: `raw` when set, else `*boxed` (generic std::function fallback).
   RawEventFn raw = nullptr;
   void* obj = nullptr;
@@ -96,43 +73,21 @@ class EventPool {
   size_t high_water_ = 0;
 };
 
-// Reference engine: binary heap ordered by (time, seq), lazy cancellation.
-class HeapQueue {
- public:
-  explicit HeapQueue(SimEngine = SimEngine::kHeap) {}
-
-  void Push(EventNode* n);
-  // Earliest live node, or nullptr when empty. Reclaims cancelled nodes that surface.
-  EventNode* PeekEarliest(EventPool& pool);
-  EventNode* PopEarliest(EventPool& pool);
-  // O(1) logical removal: the node is marked and reclaimed when it reaches the top. The
-  // generation bump invalidates outstanding handles immediately — matching the calendar
-  // engine, which frees on Remove — so double-cancel is a no-op on both engines.
-  void Remove(EventNode* n, EventPool&) {
-    n->cancelled = true;
-    ++n->gen;
-  }
-
- private:
-  static bool Earlier(const EventNode* x, const EventNode* y) {
-    return x->time != y->time ? x->time < y->time : x->seq < y->seq;
-  }
-  void PopRoot();
-
-  std::vector<EventNode*> heap_;
-};
-
-// Hot-path engine: adaptive calendar queue. Buckets partition virtual time into "days"
-// of `width_` ns; day d maps to bucket d % nbuckets, so one pass over the ring is one
-// "year". Each bucket is a (time, seq)-sorted intrusive list; new events carry globally
-// increasing seq, so the common case appends at the tail in O(1) even for bursts at a
-// single tick. The dequeue cursor sweeps days; a full fruitless year falls back to a
-// direct min-scan over bucket heads (events far in the future), which also re-aims the
-// cursor. Bucket count doubles/halves with the live population and the day width is
-// re-estimated from the earliest events at every resize.
+// Adaptive calendar queue. Buckets partition virtual time into "days" of `width_` ns;
+// day d maps to bucket d % nbuckets, so one pass over the ring is one "year". Each bucket
+// is a (time, seq)-sorted intrusive list; new events carry globally increasing seq, so the
+// common case appends at the tail in O(1) even for bursts at a single tick. The dequeue
+// cursor sweeps days; a full fruitless year falls back to a direct min-scan over bucket
+// heads (events far in the future), which also re-aims the cursor. Bucket count
+// doubles/halves with the live population and the day width is re-estimated from the
+// earliest events at every resize.
+//
+// Push/PeekEarliest/PopEarliest/Remove and EventPool::Alloc/Free stay out of line with
+// these exact signatures, PeekEarliest's unused pool parameter included:
+// perfbench/layer_wraps.cc times them by mangled symbol name.
 class CalendarQueue {
  public:
-  explicit CalendarQueue(SimEngine = SimEngine::kCalendar);
+  CalendarQueue();
 
   void Push(EventNode* n);
   EventNode* PeekEarliest(EventPool& pool);
@@ -165,45 +120,6 @@ class CalendarQueue {
   uint64_t cur_day_ = 0;
   size_t size_ = 0;
   uint64_t resizes_ = 0;
-};
-
-// Runtime-selected engine: the one the production Simulation alias uses, so benches,
-// clusters, and chaos runs can flip engines from a config knob. The branch per op is
-// perfectly predicted (the engine never changes mid-run) and costs nothing measurable
-// next to the queue work itself.
-class DualQueue {
- public:
-  explicit DualQueue(SimEngine engine) : engine_(engine) {}
-
-  SimEngine engine() const { return engine_; }
-
-  void Push(EventNode* n) {
-    if (engine_ == SimEngine::kCalendar) {
-      calendar_.Push(n);
-    } else {
-      heap_.Push(n);
-    }
-  }
-  EventNode* PeekEarliest(EventPool& pool) {
-    return engine_ == SimEngine::kCalendar ? calendar_.PeekEarliest(pool)
-                                           : heap_.PeekEarliest(pool);
-  }
-  EventNode* PopEarliest(EventPool& pool) {
-    return engine_ == SimEngine::kCalendar ? calendar_.PopEarliest(pool)
-                                           : heap_.PopEarliest(pool);
-  }
-  void Remove(EventNode* n, EventPool& pool) {
-    if (engine_ == SimEngine::kCalendar) {
-      calendar_.Remove(n, pool);
-    } else {
-      heap_.Remove(n, pool);
-    }
-  }
-
- private:
-  SimEngine engine_;
-  CalendarQueue calendar_;
-  HeapQueue heap_;
 };
 
 }  // namespace achilles

@@ -1,12 +1,6 @@
-// Deterministic discrete-event simulation core: a virtual clock and an event queue. All
-// randomness flows from the simulation seed, so runs are exactly reproducible.
-//
-// The queue engine is a template parameter (src/sim/event_queue.h): the production alias
-// `Simulation` runs on DualQueue, whose engine (calendar queue vs reference heap) is picked
-// at construction — one knob flips a whole cluster or chaos run between engines for the
-// digest-equivalence suite. The pure-engine instantiations SimulationT<HeapQueue> and
-// SimulationT<CalendarQueue> race head-to-head in tests/sim_queue_test.cc and
-// bench_sim_core.
+// Deterministic discrete-event simulation core: a virtual clock and an event queue
+// (src/sim/event_queue.h). All randomness flows from the simulation seed, so runs are
+// exactly reproducible.
 //
 // Events come in two shapes (DESIGN.md §2.21):
 //   raw    a function pointer plus (obj, a, b) — the dominant fixed-shape events
@@ -45,14 +39,12 @@ struct EventId {
 
 inline constexpr EventId kInvalidEvent{};
 
-template <class Queue>
-class SimulationT {
+class Simulation {
  public:
-  explicit SimulationT(uint64_t seed, SimEngine engine = SimEngine::kCalendar)
-      : queue_(engine), rng_(seed) {}
+  explicit Simulation(uint64_t seed) : rng_(seed) {}
 
-  SimulationT(const SimulationT&) = delete;
-  SimulationT& operator=(const SimulationT&) = delete;
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
 
   SimTime Now() const { return now_; }
 
@@ -92,7 +84,7 @@ class SimulationT {
       return;  // Never scheduled, already fired, or node recycled since.
     }
     --live_;
-    queue_.Remove(id.node, pool_);  // Frees now (calendar) or marks for later (heap).
+    queue_.Remove(id.node, pool_);  // Unlinks and frees the node at once.
   }
 
   // Runs the earliest pending event. Returns false when the queue is empty.
@@ -153,7 +145,7 @@ class SimulationT {
   // Events that needed a heap-allocated std::function (the boxed fallback).
   uint64_t boxed_events() const { return boxed_events_; }
   const EventPool& pool() const { return pool_; }
-  const Queue& queue() const { return queue_; }
+  const CalendarQueue& queue() const { return queue_; }
 
  private:
   EventNode* NewNode(SimTime t) {
@@ -172,17 +164,10 @@ class SimulationT {
   size_t live_ = 0;
   size_t peak_pending_ = 0;
   uint64_t boxed_events_ = 0;
-  Queue queue_;
+  CalendarQueue queue_;
   EventPool pool_;
   Rng rng_;
 };
-
-extern template class SimulationT<HeapQueue>;
-extern template class SimulationT<CalendarQueue>;
-extern template class SimulationT<DualQueue>;
-
-// The production simulation: engine selected at construction (calendar by default).
-using Simulation = SimulationT<DualQueue>;
 
 }  // namespace achilles
 

@@ -1,16 +1,15 @@
-// Dual-engine digest-equivalence suite (DESIGN.md §2.21).
+// Replay-stability suite for the simulation core (DESIGN.md §2.21).
 //
-// The event-queue engines (calendar vs reference heap) promise the exact same dequeue
-// order — (time, seq) — so a whole chaos run must be bit-identical under either engine:
-// same event log, same flight-recorder journal, same client-observed KV history, digest
-// for digest. This suite sweeps >= 100 seeds through full adversarial chaos runs (crash,
-// reboot, partition, rollback attacks, checkpoint/snapshot fates; seeds round-robin over
-// all ten protocols) under both engines and compares every digest, then re-runs a sample
-// of seeds to pin replay stability (same seed + same engine => same digests).
+// The event queue dequeues in exactly (time, seq) order, so a whole chaos run is a pure
+// function of (seed, config): same event log, same flight-recorder journal, same
+// client-observed KV history, digest for digest. This suite re-runs adversarial chaos
+// seeds (crash, reboot, partition, rollback attacks, checkpoint/snapshot fates; seeds
+// round-robin over all ten protocols) and replays their script artifacts, and requires
+// every digest to match the first run.
 //
-// This is the lock on the simulator hot path: any engine divergence — a mis-ordered
-// bucket, a dropped tie-break, a cancel that resurrects — shows up here as a digest
-// mismatch long before anyone reads a benchmark number.
+// Any hidden nondeterminism in the hot path — an iteration over pointer-keyed state, an
+// uninitialised field, a cancel that resurrects — shows up here as a digest mismatch long
+// before anyone reads a benchmark number.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,11 +22,10 @@ namespace {
 
 // Reboot/checkpoint-weighted options: the recovery paths (WAL replay, snapshot state
 // transfer, sealed-state restore) schedule the gnarliest event patterns — far-future
-// timeouts, cancelled retransmits, reboot closures — which is exactly where engine
-// divergence would hide.
-chaos::ChaosOptions SweepOptions(SimEngine engine, bool app_kv) {
+// timeouts, cancelled retransmits, reboot closures — which is exactly where
+// nondeterminism would hide.
+chaos::ChaosOptions SweepOptions(bool app_kv) {
   chaos::ChaosOptions options;
-  options.engine = engine;
   options.journal = true;       // The journal digest fingerprints replica internals.
   options.reboot_prob = 0.85;
   options.ckpt_prob = 0.5;
@@ -42,52 +40,24 @@ void ExpectSameRun(const chaos::ChaosResult& a, const chaos::ChaosResult& b,
   ASSERT_EQ(a.final_height, b.final_height) << "seed " << seed;
   ASSERT_EQ(a.log_digest_hex, b.log_digest_hex)
       << "seed " << seed << " (" << ProtocolName(a.protocol) << ", f=" << a.f
-      << "): event-log digest diverged between engines";
+      << "): event-log digest diverged";
   ASSERT_EQ(a.journal_digest_hex, b.journal_digest_hex)
       << "seed " << seed << ": journal digest diverged";
   ASSERT_EQ(a.history_digest_hex, b.history_digest_hex)
       << "seed " << seed << ": KV history digest diverged";
 }
 
-TEST(SimDeterminismTest, HundredSeedDualEngineSweepIsDigestIdentical) {
-  // 100 seeds round-robin over all ten protocols: every protocol sees ten distinct
-  // adversarial schedules under both engines.
-  for (uint64_t seed = 0; seed < 100; ++seed) {
-    const chaos::ChaosResult cal =
-        chaos::RunChaosSeed(SweepOptions(SimEngine::kCalendar, /*app_kv=*/false), seed);
-    const chaos::ChaosResult heap =
-        chaos::RunChaosSeed(SweepOptions(SimEngine::kHeap, /*app_kv=*/false), seed);
-    ExpectSameRun(cal, heap, seed);
-    if (HasFatalFailure()) {
-      return;
-    }
-  }
-}
-
-TEST(SimDeterminismTest, KvAppDualEngineSweepIsDigestIdentical) {
-  // With the replicated KV app on, the client-observed history digest joins the compare:
-  // engine divergence that only shifts app-level interleavings is still caught.
-  for (uint64_t seed = 0; seed < 20; ++seed) {
-    const chaos::ChaosResult cal =
-        chaos::RunChaosSeed(SweepOptions(SimEngine::kCalendar, /*app_kv=*/true), seed);
-    const chaos::ChaosResult heap =
-        chaos::RunChaosSeed(SweepOptions(SimEngine::kHeap, /*app_kv=*/true), seed);
-    ASSERT_FALSE(cal.history_digest_hex.empty()) << "seed " << seed;
-    ExpectSameRun(cal, heap, seed);
-    if (HasFatalFailure()) {
-      return;
-    }
-  }
-}
-
-TEST(SimDeterminismTest, ReplayIsDigestStableOnBothEngines) {
-  // Same seed + same engine twice => bit-identical run. This is the --replay property
-  // chaos_main checks; here it pins both engines, not just the production one.
+TEST(SimDeterminismTest, ReplayIsDigestStable) {
+  // Same seed twice => bit-identical run. This is the --replay property chaos_main
+  // checks; the KV leg adds the client-observed history digest to the compare.
   for (uint64_t seed = 0; seed < 10; ++seed) {
-    for (const SimEngine engine : {SimEngine::kCalendar, SimEngine::kHeap}) {
-      const chaos::ChaosOptions options = SweepOptions(engine, /*app_kv=*/false);
+    for (const bool app_kv : {false, true}) {
+      const chaos::ChaosOptions options = SweepOptions(app_kv);
       const chaos::ChaosResult first = chaos::RunChaosSeed(options, seed);
       const chaos::ChaosResult second = chaos::RunChaosSeed(options, seed);
+      if (app_kv) {
+        ASSERT_FALSE(first.history_digest_hex.empty()) << "seed " << seed;
+      }
       ExpectSameRun(first, second, seed);
       if (HasFatalFailure()) {
         return;
@@ -96,15 +66,14 @@ TEST(SimDeterminismTest, ReplayIsDigestStableOnBothEngines) {
   }
 }
 
-TEST(SimDeterminismTest, ScriptReplayMatchesSeedRunAcrossEngines) {
-  // Replaying the *artifact* (explicit script) under the opposite engine still lands on
-  // the original digests — the reproducer a failing CI run uploads is engine-agnostic.
-  const chaos::ChaosOptions cal_options = SweepOptions(SimEngine::kCalendar, false);
+TEST(SimDeterminismTest, ScriptReplayMatchesSeedRun) {
+  // Replaying the *artifact* (explicit script) lands on the original digests: the
+  // reproducer a failing CI run uploads re-executes the exact failing schedule.
+  const chaos::ChaosOptions options = SweepOptions(/*app_kv=*/false);
   for (uint64_t seed = 3; seed < 23; seed += 5) {
-    const chaos::ChaosResult original = chaos::RunChaosSeed(cal_options, seed);
-    chaos::ChaosOptions heap_options = SweepOptions(SimEngine::kHeap, false);
+    const chaos::ChaosResult original = chaos::RunChaosSeed(options, seed);
     const chaos::ChaosResult replay = chaos::RunChaosScript(
-        heap_options, seed, original.protocol, original.f, original.script);
+        options, seed, original.protocol, original.f, original.script);
     ExpectSameRun(original, replay, seed);
     if (HasFatalFailure()) {
       return;

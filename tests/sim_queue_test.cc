@@ -1,10 +1,10 @@
-// Differential determinism suite for the event-queue engines (DESIGN.md §2.21).
+// Event-queue suite for the simulation core (DESIGN.md §2.21).
 //
-// The CalendarQueue is the production engine; the HeapQueue is the simple, obviously
-// correct reference. Every test here drives both engines through an identical operation
-// script and requires identical observable behaviour: pop order (time, then FIFO seq),
-// Step/RunUntil results, pending/peak accounting, and cancel semantics — including
-// cancelling handles whose events already fired, which must be a safe no-op.
+// The production Simulation runs on the CalendarQueue. The differential fuzz drives it in
+// lockstep with a test-local reference scheduler — an ordered set of (time, seq, tag) where
+// cancel is an erase — and requires identical observable behaviour: pop order (time, then
+// FIFO seq), Step/RunUntil results, pending/peak accounting, and cancel semantics,
+// including cancelling handles whose events already fired, which must be a safe no-op.
 //
 // The fuzz loop runs >= 50 seeds x >= 10,000 operations each, cycling adversarial time
 // distributions (uniform short delays, heavy same-tick ties, far-future tails, and a mix)
@@ -12,7 +12,11 @@
 // fruitless-year direct-scan fallback.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,15 +28,78 @@ namespace {
 
 using Firing = std::pair<SimTime, uint64_t>;  // (virtual time, schedule tag)
 
-template <class Queue>
 struct Probe {
-  SimulationT<Queue>* sim;
+  Simulation* sim;
   std::vector<Firing> fired;
 
   static void Fire(void* self, uint64_t tag, uint64_t) {
     auto* p = static_cast<Probe*>(self);
     p->fired.emplace_back(p->sim->Now(), tag);
   }
+};
+
+// Reference scheduler: an ordered set keyed by (time, seq, tag) gives the (time, seq) pop
+// order by construction, and cancel erases by seq. A handle is the event's seq; cancelling
+// one that already fired or was cancelled finds nothing to erase.
+class ReferenceSim {
+ public:
+  SimTime Now() const { return now_; }
+  size_t pending_events() const { return pending_.size(); }
+  uint64_t executed_events() const { return executed_; }
+  size_t peak_pending_events() const { return peak_pending_; }
+  const std::vector<Firing>& fired() const { return fired_; }
+
+  uint64_t ScheduleAfter(SimDuration delay, uint64_t tag) {
+    const Key key{now_ + delay, next_seq_++, tag};
+    pending_.insert(key);
+    by_seq_.emplace(std::get<1>(key), key);
+    peak_pending_ = std::max(peak_pending_, pending_.size());
+    return std::get<1>(key);
+  }
+
+  void Cancel(uint64_t seq) {
+    const auto it = by_seq_.find(seq);
+    if (it != by_seq_.end()) {
+      pending_.erase(it->second);
+      by_seq_.erase(it);
+    }
+  }
+
+  bool Step() {
+    if (pending_.empty()) {
+      return false;
+    }
+    const Key key = *pending_.begin();
+    pending_.erase(pending_.begin());
+    by_seq_.erase(std::get<1>(key));
+    now_ = std::get<0>(key);
+    ++executed_;
+    fired_.emplace_back(now_, std::get<2>(key));
+    return true;
+  }
+
+  void RunUntil(SimTime t) {
+    while (!pending_.empty() && std::get<0>(*pending_.begin()) <= t) {
+      Step();
+    }
+    now_ = t;
+  }
+
+  void RunUntilIdle() {
+    while (Step()) {
+    }
+  }
+
+ private:
+  using Key = std::tuple<SimTime, uint64_t, uint64_t>;  // (time, seq, tag)
+
+  SimTime now_ = 0;
+  uint64_t next_seq_ = 0;
+  uint64_t executed_ = 0;
+  size_t peak_pending_ = 0;
+  std::set<Key> pending_;
+  std::unordered_map<uint64_t, Key> by_seq_;
+  std::vector<Firing> fired_;
 };
 
 // Adversarial delay distributions, selected per seed.
@@ -52,15 +119,16 @@ SimDuration DrawDelay(Rng& rng, int mode) {
   }
 }
 
-// Applies one identical op script to both engines and checks lockstep equivalence.
+// Applies one op script to the Simulation and the reference and checks lockstep
+// equivalence after every op.
 void DifferentialFuzz(uint64_t seed, size_t num_ops) {
-  SimulationT<HeapQueue> heap(seed, SimEngine::kHeap);
-  SimulationT<CalendarQueue> cal(seed, SimEngine::kCalendar);
-  Probe<HeapQueue> hp{&heap, {}};
-  Probe<CalendarQueue> cp{&cal, {}};
+  Simulation sim(seed);
+  ReferenceSim ref;
+  Probe probe{&sim, {}};
   Rng script(seed * 0x9e3779b97f4a7c15ULL + 1);
   // Handles are never dropped: late cancels deliberately hit fired/recycled events.
-  std::vector<EventId> heap_ids, cal_ids;
+  std::vector<EventId> sim_ids;
+  std::vector<uint64_t> ref_ids;
   uint64_t tag = 0;
   const int mode = static_cast<int>(seed % 4);
 
@@ -68,50 +136,46 @@ void DifferentialFuzz(uint64_t seed, size_t num_ops) {
     const uint64_t roll = script.UniformU64(100);
     if (roll < 50) {
       const SimDuration d = DrawDelay(script, mode);
-      heap_ids.push_back(heap.ScheduleRawAfter(d, &Probe<HeapQueue>::Fire, &hp, tag));
-      cal_ids.push_back(cal.ScheduleRawAfter(d, &Probe<CalendarQueue>::Fire, &cp, tag));
+      sim_ids.push_back(sim.ScheduleRawAfter(d, &Probe::Fire, &probe, tag));
+      ref_ids.push_back(ref.ScheduleAfter(d, tag));
       ++tag;
     } else if (roll < 58) {
       // Boxed fallback events must interleave with raw ones identically.
       const SimDuration d = DrawDelay(script, mode);
       const uint64_t t = tag++;
-      heap_ids.push_back(
-          heap.ScheduleAfter(d, [&hp, t] { hp.fired.emplace_back(hp.sim->Now(), t); }));
-      cal_ids.push_back(
-          cal.ScheduleAfter(d, [&cp, t] { cp.fired.emplace_back(cp.sim->Now(), t); }));
-    } else if (roll < 68 && !heap_ids.empty()) {
+      sim_ids.push_back(
+          sim.ScheduleAfter(d, [&probe, t] { probe.fired.emplace_back(probe.sim->Now(), t); }));
+      ref_ids.push_back(ref.ScheduleAfter(d, t));
+    } else if (roll < 68 && !sim_ids.empty()) {
       // Cancel a uniformly random handle — pending, fired, or already cancelled alike.
-      const size_t pick = script.UniformU64(heap_ids.size());
-      heap.Cancel(heap_ids[pick]);
-      cal.Cancel(cal_ids[pick]);
+      const size_t pick = script.UniformU64(sim_ids.size());
+      sim.Cancel(sim_ids[pick]);
+      ref.Cancel(ref_ids[pick]);
     } else if (roll < 90) {
-      ASSERT_EQ(heap.Step(), cal.Step());
+      ASSERT_EQ(sim.Step(), ref.Step()) << "seed " << seed << " op " << op;
     } else {
-      ASSERT_EQ(heap.Now(), cal.Now());
-      const SimTime t = heap.Now() + DrawDelay(script, mode);
-      heap.RunUntil(t);
-      cal.RunUntil(t);
-      ASSERT_EQ(heap.Now(), t);
-      ASSERT_EQ(cal.Now(), t);
+      const SimTime t = ref.Now() + DrawDelay(script, mode);
+      sim.RunUntil(t);
+      ref.RunUntil(t);
+      ASSERT_EQ(sim.Now(), t) << "seed " << seed << " op " << op;
     }
-    ASSERT_EQ(heap.Now(), cal.Now()) << "seed " << seed << " op " << op;
-    ASSERT_EQ(heap.pending_events(), cal.pending_events()) << "seed " << seed << " op " << op;
-    ASSERT_EQ(heap.executed_events(), cal.executed_events());
+    ASSERT_EQ(sim.Now(), ref.Now()) << "seed " << seed << " op " << op;
+    ASSERT_EQ(sim.pending_events(), ref.pending_events()) << "seed " << seed << " op " << op;
+    ASSERT_EQ(sim.executed_events(), ref.executed_events()) << "seed " << seed << " op " << op;
+    // Every pending event owns exactly one queued, pooled node: a leak, a double free or a
+    // stray unlink breaks one of these before it reaches the pop order.
+    ASSERT_EQ(sim.queue().size(), ref.pending_events()) << "seed " << seed << " op " << op;
+    ASSERT_EQ(sim.pool().live(), ref.pending_events()) << "seed " << seed << " op " << op;
+    ASSERT_EQ(probe.fired.size(), ref.fired().size()) << "seed " << seed << " op " << op;
   }
 
-  heap.RunUntilIdle();
-  cal.RunUntilIdle();
-  ASSERT_EQ(hp.fired.size(), cp.fired.size()) << "seed " << seed;
-  ASSERT_EQ(hp.fired, cp.fired) << "seed " << seed;
-  ASSERT_EQ(heap.executed_events(), cal.executed_events());
-  ASSERT_EQ(heap.peak_pending_events(), cal.peak_pending_events()) << "seed " << seed;
-  ASSERT_EQ(heap.pending_events(), 0u);
-  ASSERT_EQ(cal.pending_events(), 0u);
-  // Firing times are non-decreasing; equal-time runs pop in schedule (tag) order because
-  // this script never schedules two events at the same (time, tag) out of tag order.
-  for (size_t i = 1; i < hp.fired.size(); ++i) {
-    ASSERT_LE(hp.fired[i - 1].first, hp.fired[i].first) << "seed " << seed;
-  }
+  sim.RunUntilIdle();
+  ref.RunUntilIdle();
+  ASSERT_EQ(probe.fired, ref.fired()) << "seed " << seed;
+  ASSERT_EQ(sim.executed_events(), ref.executed_events());
+  ASSERT_EQ(sim.peak_pending_events(), ref.peak_pending_events()) << "seed " << seed;
+  ASSERT_EQ(sim.pending_events(), 0u);
+  ASSERT_EQ(sim.pool().live(), 0u);
 }
 
 TEST(SimQueueDifferentialTest, FuzzManySeedsManyOps) {
@@ -124,56 +188,46 @@ TEST(SimQueueDifferentialTest, FuzzManySeedsManyOps) {
   }
 }
 
-// Equal-time events pop strictly FIFO (by schedule seq) on both engines, even when a
-// burst lands on one tick interleaved with earlier/later stragglers.
-template <class Queue>
-std::vector<uint64_t> TieBreakOrder() {
-  SimulationT<Queue> sim(7);
-  Probe<Queue> probe{&sim, {}};
+// Equal-time events pop strictly FIFO (by schedule seq), even when a burst lands on one
+// tick interleaved with earlier/later stragglers.
+TEST(SimQueueTest, EqualTimePopsAreFifo) {
+  Simulation sim(7);
+  Probe probe{&sim, {}};
   const SimTime burst = Us(100);
+  std::vector<uint64_t> before, at, after;
   for (uint64_t i = 0; i < 256; ++i) {
-    sim.ScheduleRawAt(burst, &Probe<Queue>::Fire, &probe, i);
+    sim.ScheduleRawAt(burst, &Probe::Fire, &probe, i);
+    at.push_back(i);
     if (i % 16 == 0) {  // Stragglers around the burst must not disturb the FIFO chain.
-      sim.ScheduleRawAt(burst - Us(1), &Probe<Queue>::Fire, &probe, 10'000 + i);
-      sim.ScheduleRawAt(burst + Us(1), &Probe<Queue>::Fire, &probe, 20'000 + i);
+      sim.ScheduleRawAt(burst - Us(1), &Probe::Fire, &probe, 10'000 + i);
+      sim.ScheduleRawAt(burst + Us(1), &Probe::Fire, &probe, 20'000 + i);
+      before.push_back(10'000 + i);
+      after.push_back(20'000 + i);
     }
   }
   sim.RunUntilIdle();
+  std::vector<uint64_t> expect = before;
+  expect.insert(expect.end(), at.begin(), at.end());
+  expect.insert(expect.end(), after.begin(), after.end());
   std::vector<uint64_t> tags;
   for (const Firing& f : probe.fired) {
     tags.push_back(f.second);
   }
-  return tags;
+  EXPECT_EQ(tags, expect);
 }
 
-TEST(SimQueueDifferentialTest, EqualTimePopsAreFifoOnBothEngines) {
-  const std::vector<uint64_t> heap_tags = TieBreakOrder<HeapQueue>();
-  const std::vector<uint64_t> cal_tags = TieBreakOrder<CalendarQueue>();
-  ASSERT_EQ(heap_tags, cal_tags);
-  // Within the burst tick, tags must appear in exact schedule order.
-  uint64_t expect = 0;
-  for (const uint64_t tag : heap_tags) {
-    if (tag < 10'000) {
-      EXPECT_EQ(tag, expect);
-      ++expect;
-    }
-  }
-  EXPECT_EQ(expect, 256u);
-}
-
-template <class Queue>
-void CancelOfFiredIsNoOp() {
-  SimulationT<Queue> sim(3);
-  Probe<Queue> probe{&sim, {}};
-  const EventId first = sim.ScheduleRawAfter(Us(1), &Probe<Queue>::Fire, &probe, 1);
-  sim.ScheduleRawAfter(Us(2), &Probe<Queue>::Fire, &probe, 2);
+TEST(SimQueueTest, CancelOfFiredEventIsNoOp) {
+  Simulation sim(3);
+  Probe probe{&sim, {}};
+  const EventId first = sim.ScheduleRawAfter(Us(1), &Probe::Fire, &probe, 1);
+  sim.ScheduleRawAfter(Us(2), &Probe::Fire, &probe, 2);
   ASSERT_TRUE(sim.Step());  // Fires tag 1; its node returns to the pool.
   const size_t pending_before = sim.pending_events();
   sim.Cancel(first);           // Already fired: generation check rejects the handle.
   sim.Cancel(kInvalidEvent);   // Never scheduled: equally a no-op.
   EXPECT_EQ(sim.pending_events(), pending_before);
   // The node slot may be recycled by a new event; the stale handle must not kill it.
-  const EventId recycled = sim.ScheduleRawAfter(Us(3), &Probe<Queue>::Fire, &probe, 3);
+  const EventId recycled = sim.ScheduleRawAfter(Us(3), &Probe::Fire, &probe, 3);
   sim.Cancel(first);
   EXPECT_EQ(sim.pending_events(), 2u);
   sim.RunUntilIdle();
@@ -184,21 +238,12 @@ void CancelOfFiredIsNoOp() {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-TEST(SimQueueDifferentialTest, CancelOfFiredEventIsNoOpHeap) {
-  CancelOfFiredIsNoOp<HeapQueue>();
-}
-
-TEST(SimQueueDifferentialTest, CancelOfFiredEventIsNoOpCalendar) {
-  CancelOfFiredIsNoOp<CalendarQueue>();
-}
-
-template <class Queue>
-void RunUntilBoundary() {
-  SimulationT<Queue> sim(11);
-  Probe<Queue> probe{&sim, {}};
-  sim.ScheduleRawAt(Us(10), &Probe<Queue>::Fire, &probe, 1);
-  sim.ScheduleRawAt(Us(20), &Probe<Queue>::Fire, &probe, 2);  // Exactly at the boundary.
-  sim.ScheduleRawAt(Us(20) + 1, &Probe<Queue>::Fire, &probe, 3);
+TEST(SimQueueTest, RunUntilBoundaryIsInclusive) {
+  Simulation sim(11);
+  Probe probe{&sim, {}};
+  sim.ScheduleRawAt(Us(10), &Probe::Fire, &probe, 1);
+  sim.ScheduleRawAt(Us(20), &Probe::Fire, &probe, 2);  // Exactly at the boundary.
+  sim.ScheduleRawAt(Us(20) + 1, &Probe::Fire, &probe, 3);
   sim.RunUntil(Us(20));
   // Events at t <= boundary fire; the clock parks exactly at the boundary.
   ASSERT_EQ(probe.fired.size(), 2u);
@@ -210,22 +255,13 @@ void RunUntilBoundary() {
   EXPECT_EQ(sim.Now(), Us(20) + 1);
 }
 
-TEST(SimQueueDifferentialTest, RunUntilBoundaryIsInclusiveHeap) {
-  RunUntilBoundary<HeapQueue>();
-}
-
-TEST(SimQueueDifferentialTest, RunUntilBoundaryIsInclusiveCalendar) {
-  RunUntilBoundary<CalendarQueue>();
-}
-
-template <class Queue>
-void PendingAndPeakAccounting() {
-  SimulationT<Queue> sim(5);
-  Probe<Queue> probe{&sim, {}};
+TEST(SimQueueTest, PendingAndPeakAccounting) {
+  Simulation sim(5);
+  Probe probe{&sim, {}};
   std::vector<EventId> ids;
   for (uint64_t i = 0; i < 100; ++i) {
-    ids.push_back(sim.ScheduleRawAfter(Us(1) + static_cast<SimDuration>(i),
-                                       &Probe<Queue>::Fire, &probe, i));
+    ids.push_back(
+        sim.ScheduleRawAfter(Us(1) + static_cast<SimDuration>(i), &Probe::Fire, &probe, i));
   }
   EXPECT_EQ(sim.pending_events(), 100u);
   EXPECT_EQ(sim.peak_pending_events(), 100u);
@@ -234,51 +270,16 @@ void PendingAndPeakAccounting() {
   }
   EXPECT_EQ(sim.pending_events(), 60u);
   EXPECT_EQ(sim.peak_pending_events(), 100u);
+  // Cancel frees the node at once: the pool and the queue hold only the 60 survivors.
+  EXPECT_EQ(sim.pool().live(), 60u);
+  EXPECT_EQ(sim.queue().size(), 60u);
   sim.RunUntilIdle();
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(sim.executed_events(), 60u);
   EXPECT_EQ(probe.fired.size(), 60u);
   EXPECT_EQ(sim.peak_pending_events(), 100u);
-  // The slab pool reports no live nodes once everything fired or was reclaimed. (The heap
-  // engine reclaims cancelled nodes lazily, but RunUntilIdle drains the whole heap.)
   EXPECT_EQ(sim.pool().live(), 0u);
   EXPECT_GE(sim.pool().high_water(), 100u);
-}
-
-TEST(SimQueueDifferentialTest, PendingAndPeakAccountingHeap) {
-  PendingAndPeakAccounting<HeapQueue>();
-}
-
-TEST(SimQueueDifferentialTest, PendingAndPeakAccountingCalendar) {
-  PendingAndPeakAccounting<CalendarQueue>();
-}
-
-// The production DualQueue switch must behave exactly like the pure engines it wraps.
-TEST(SimQueueDifferentialTest, DualQueueMatchesPureEnginesUnderFuzz) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    Simulation heap_sim(seed, SimEngine::kHeap);
-    Simulation cal_sim(seed, SimEngine::kCalendar);
-    std::vector<Firing> heap_fired, cal_fired;
-    Rng script(seed);
-    for (int i = 0; i < 2'000; ++i) {
-      const SimDuration d =
-          static_cast<SimDuration>(script.UniformU64(static_cast<uint64_t>(Ms(5))));
-      const uint64_t t = static_cast<uint64_t>(i);
-      heap_sim.ScheduleAfter(d, [&heap_fired, &heap_sim, t] {
-        heap_fired.emplace_back(heap_sim.Now(), t);
-      });
-      cal_sim.ScheduleAfter(d, [&cal_fired, &cal_sim, t] {
-        cal_fired.emplace_back(cal_sim.Now(), t);
-      });
-      if (i % 5 == 0) {
-        heap_sim.Step();
-        cal_sim.Step();
-      }
-    }
-    heap_sim.RunUntilIdle();
-    cal_sim.RunUntilIdle();
-    ASSERT_EQ(heap_fired, cal_fired) << "seed " << seed;
-  }
 }
 
 }  // namespace

@@ -44,12 +44,16 @@
 // one per chaos shard).
 //
 // Exit status: honest sweeps fail (1) on any oracle violation; --broken sweeps invert —
-// they fail unless a violation IS found (the planted bug must be caught).
+// they fail unless a violation IS found (the planted bug must be caught). Usage errors
+// exit 2: unknown flags, malformed or negative numbers, out-of-range weights, and a sweep
+// whose --seeds/--shard selection leaves no seed to run.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -73,8 +77,8 @@ struct CliArgs {
   uint64_t seed_base = 1;
   uint32_t shard_index = 0;
   uint32_t shard_count = 1;
-  long long replay_seed = -1;
-  long long minimize_seed = -1;
+  std::optional<uint64_t> replay_seed;
+  std::optional<uint64_t> minimize_seed;
   std::string replay_file;
   std::string out_dir = ".";
   std::string coverage_out;  // Sweep coverage report JSON (empty = print only).
@@ -92,8 +96,44 @@ void Usage() {
                "cert-floor-skip]\n"
                "                  [--replay SEED] [--replay-file PATH] [--minimize SEED]\n"
                "                  [--reboot-weight P] [--ckpt-weight P] [--out-dir DIR]\n"
-               "                  [--engine heap|calendar] [--journal] [--explain]\n"
+               "                  [--journal] [--explain]\n"
                "                  [--coverage-out PATH] [--verbose]\n");
+}
+
+// Numeric flag values must parse in full: "abc", "3x" and "-1" are usage errors, never a
+// silently different sweep.
+bool ParseUint(const std::string& text, uint64_t* out) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') {
+    return false;  // strtoull would accept leading whitespace, '+' and '-'.
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) {
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+bool ParseSeed(const std::string& flag, const char* value, uint64_t* out) {
+  if (!ParseUint(value, out)) {
+    std::fprintf(stderr, "chaos_main: %s wants a non-negative integer, got '%s'\n",
+                 flag.c_str(), value);
+    return false;
+  }
+  return true;
+}
+
+bool ParseWeight(const std::string& flag, const char* value, double* out) {
+  char* end = nullptr;
+  const double parsed = std::strtod(value, &end);
+  if (end == value || *end != '\0' || !(parsed >= 0.0 && parsed <= 1.0)) {
+    std::fprintf(stderr, "chaos_main: %s wants [0,1], got '%s'\n", flag.c_str(), value);
+    return false;
+  }
+  *out = parsed;
+  return true;
 }
 
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
@@ -120,22 +160,25 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (flag == "--seeds") {
       const char* value = next();
       if (value == nullptr) return false;
-      args->seeds = std::strtoull(value, nullptr, 10);
+      if (!ParseSeed(flag, value, &args->seeds)) return false;
     } else if (flag == "--seed-base") {
       const char* value = next();
       if (value == nullptr) return false;
-      args->seed_base = std::strtoull(value, nullptr, 10);
+      if (!ParseSeed(flag, value, &args->seed_base)) return false;
     } else if (flag == "--shard") {
       const char* value = next();
       if (value == nullptr) return false;
-      unsigned index = 0, count = 0;
-      if (std::sscanf(value, "%u/%u", &index, &count) != 2 || count == 0 ||
+      const std::string shard = value;
+      const size_t slash = shard.find('/');
+      uint64_t index = 0, count = 0;
+      if (slash == std::string::npos || !ParseUint(shard.substr(0, slash), &index) ||
+          !ParseUint(shard.substr(slash + 1), &count) || count > UINT32_MAX ||
           index >= count) {
         std::fprintf(stderr, "chaos_main: --shard wants I/K with I<K, got '%s'\n", value);
         return false;
       }
-      args->shard_index = index;
-      args->shard_count = count;
+      args->shard_index = static_cast<uint32_t>(index);
+      args->shard_count = static_cast<uint32_t>(count);
     } else if (flag == "--app") {
       const char* value = next();
       if (value == nullptr) return false;
@@ -154,7 +197,7 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (flag == "--replay") {
       const char* value = next();
       if (value == nullptr) return false;
-      args->replay_seed = std::strtoll(value, nullptr, 10);
+      if (!ParseSeed(flag, value, &args->replay_seed.emplace())) return false;
     } else if (flag == "--replay-file") {
       const char* value = next();
       if (value == nullptr) return false;
@@ -162,25 +205,15 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (flag == "--minimize") {
       const char* value = next();
       if (value == nullptr) return false;
-      args->minimize_seed = std::strtoll(value, nullptr, 10);
+      if (!ParseSeed(flag, value, &args->minimize_seed.emplace())) return false;
     } else if (flag == "--reboot-weight") {
       const char* value = next();
       if (value == nullptr) return false;
-      const double weight = std::strtod(value, nullptr);
-      if (weight < 0.0 || weight > 1.0) {
-        std::fprintf(stderr, "chaos_main: --reboot-weight wants [0,1], got '%s'\n", value);
-        return false;
-      }
-      args->options.reboot_prob = weight;
+      if (!ParseWeight(flag, value, &args->options.reboot_prob)) return false;
     } else if (flag == "--ckpt-weight") {
       const char* value = next();
       if (value == nullptr) return false;
-      const double weight = std::strtod(value, nullptr);
-      if (weight < 0.0 || weight > 1.0) {
-        std::fprintf(stderr, "chaos_main: --ckpt-weight wants [0,1], got '%s'\n", value);
-        return false;
-      }
-      args->options.ckpt_prob = weight;
+      if (!ParseWeight(flag, value, &args->options.ckpt_prob)) return false;
     } else if (flag == "--out-dir") {
       const char* value = next();
       if (value == nullptr) return false;
@@ -189,13 +222,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       const char* value = next();
       if (value == nullptr) return false;
       args->coverage_out = value;
-    } else if (flag == "--engine") {
-      const char* value = next();
-      if (value == nullptr) return false;
-      if (!SimEngineFromName(value, &args->options.engine)) {
-        std::fprintf(stderr, "chaos_main: unknown engine '%s' (heap|calendar)\n", value);
-        return false;
-      }
     } else if (flag == "--journal") {
       args->options.journal = true;
     } else if (flag == "--explain") {
@@ -493,6 +519,13 @@ int FinishSweep(const CliArgs& args, const CoverageReport& cov, int code) {
 }
 
 int Sweep(const CliArgs& args) {
+  // Seeds i < --seeds with i % K == I: none exist when the shard index reaches the count.
+  if (args.seeds <= args.shard_index) {
+    std::fprintf(stderr, "chaos_main: --seeds %llu with --shard %u/%u selects no seed\n",
+                 static_cast<unsigned long long>(args.seeds), args.shard_index,
+                 args.shard_count);
+    return 2;
+  }
   const bool expect_violation = args.options.broken != BrokenVariant::kNone;
   uint64_t ran = 0;
   CoverageReport cov;
@@ -561,11 +594,11 @@ int Main(int argc, char** argv) {
   if (!args.replay_file.empty()) {
     return ReplayFile(args);
   }
-  if (args.replay_seed >= 0) {
-    return ReplaySeed(args, static_cast<uint64_t>(args.replay_seed));
+  if (args.replay_seed.has_value()) {
+    return ReplaySeed(args, *args.replay_seed);
   }
-  if (args.minimize_seed >= 0) {
-    return MinimizeSeed(args, static_cast<uint64_t>(args.minimize_seed));
+  if (args.minimize_seed.has_value()) {
+    return MinimizeSeed(args, *args.minimize_seed);
   }
   return Sweep(args);
 }
