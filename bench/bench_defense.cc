@@ -7,8 +7,8 @@
 //                      p50, defense writes (counter increments under local, quorum
 //                      replications/certifications otherwise), and the throughput tax
 //                      vs the same protocol under --defense local. Each defended run
-//                      publishes the tax as the `defense.tax_pct` metrics gauge, which
-//                      bench_trend tracks as defense.tax_pct_max.
+//                      publishes the tax as the `defense.tax_pct` metrics gauge, whose
+//                      worst value (clamped at 0) the CI bench-smoke job bounds.
 //
 //   post-reboot recovery   how fast is a crashed replica useful again, and what happens
 //                      when the adversary serves it rolled-back sealed state at reboot?

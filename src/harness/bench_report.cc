@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/harness/experiment.h"
 #include "src/harness/flags.h"
 #include "src/obs/json.h"
 
@@ -196,6 +197,7 @@ BenchIo::BenchIo(const char* bench_name, int* argc, char** argv) {
   }
   BenchReport::Instance().Configure(bench_name, flags.json_out(), flags.trace_out(),
                                     flags.critpath_out());
+  BenchScale();  // Exits 2 on a malformed ACHILLES_BENCH_SCALE, before any run starts.
 }
 
 }  // namespace achilles

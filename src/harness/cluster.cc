@@ -1,7 +1,5 @@
 #include "src/harness/cluster.h"
 
-#include <chrono>
-
 #include "src/achilles/replica.h"
 #include "src/common/check.h"
 #include "src/damysus/replica.h"
@@ -321,29 +319,21 @@ RunStats Cluster::RunMeasured(SimDuration warmup, SimDuration measure) {
   const uint64_t counter_before = TotalCounterWrites();
   const uint64_t blocks_before = tracker_.total_committed_blocks();
   const uint64_t events_before = sim_.executed_events();
-  const auto wall_start = std::chrono::steady_clock::now();
   sim_.RunFor(measure);
-  const double wall_sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   tracker_.EndMeasurement(sim_.Now());
 
-  // Simulator self-profiling: how hard the event loop worked for this measured window.
-  // Gauges (not part of RunStats) so every bench's --json-out picks them up for free.
-  const uint64_t events = sim_.executed_events() - events_before;
-  metrics_.GetGauge("sim.events_processed")->Set(static_cast<double>(events));
-  // Always materialize the rate gauges (zero when the clock was too coarse to observe
-  // any wall time), so every JSON export — smoke runs included — carries the same keys.
-  const double safe_wall = wall_sec > 0.0 ? wall_sec : 0.0;
-  metrics_.GetGauge("sim.events_per_wall_sec")
-      ->Set(safe_wall > 0.0 ? static_cast<double>(events) / safe_wall : 0.0);
-  metrics_.GetGauge("sim.wall_ms_per_virtual_sec")
-      ->Set(measure > 0 ? safe_wall * 1e3 / (static_cast<double>(measure) / kSecond) : 0.0);
+  // Simulator self-profiling in virtual-time terms only: how many events the measured
+  // window executed and how deep the queue got. The host clock stays out of src/, so a
+  // bench's --json-out is a pure function of (binary, seed, scale); wall-clock cost is
+  // perfbench's job (BENCHMARK.json).
+  metrics_.GetGauge("sim.events_processed")
+      ->Set(static_cast<double>(sim_.executed_events() - events_before));
   metrics_.GetGauge("sim.peak_pending_events")
       ->Set(static_cast<double>(sim_.peak_pending_events()));
   RefreshFootprintGauges();
 
   // Observability truncation gauges: how much the span ring and flight recorder dropped.
-  // Always exported so trend guards can watch them even on runs with tracing off.
+  // Always exported, so they read zero (not absent) on runs with tracing off.
   metrics_.GetGauge("trace.dropped_spans")->Set(static_cast<double>(tracer_.dropped()));
   metrics_.GetGauge("journal.events_recorded")->Set(static_cast<double>(journal_.recorded()));
   metrics_.GetGauge("journal.events_evicted")->Set(static_cast<double>(journal_.evicted()));

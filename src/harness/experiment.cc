@@ -7,9 +7,16 @@
 #include "src/harness/bench_report.h"
 
 namespace achilles {
-namespace {
 
-}  // namespace
+bool ParseBenchScale(const char* text, double* out) {
+  char* end = nullptr;
+  const double parsed = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !(parsed > 0.0 && parsed <= 1.0)) {
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
 
 // Smoke-scale knob for CI: ACHILLES_BENCH_SCALE=<fraction> shrinks every bench's
 // warmup/measure window by that factor (tools/bench_all --smoke sets it for its children).
@@ -18,12 +25,12 @@ namespace {
 double BenchScale() {
   static const double scale = [] {
     const char* env = std::getenv("ACHILLES_BENCH_SCALE");
-    if (env == nullptr || *env == '\0') {
-      return 1.0;
-    }
-    const double parsed = std::atof(env);
-    if (parsed <= 0.0 || parsed >= 1.0) {
-      return 1.0;
+    double parsed = 1.0;
+    if (env != nullptr && *env != '\0' && !ParseBenchScale(env, &parsed)) {
+      // A typo must not silently run the full-scale bench the caller meant to shrink.
+      std::fprintf(stderr, "ACHILLES_BENCH_SCALE wants a fraction in (0, 1], got '%s'\n",
+                   env);
+      std::exit(2);
     }
     return parsed;
   }();

@@ -15,8 +15,14 @@ namespace achilles {
 // broken run).
 RunStats MeasureOnce(const ClusterConfig& config, SimDuration warmup, SimDuration measure);
 
-// Smoke-scale factor from ACHILLES_BENCH_SCALE in (0, 1), or 1.0 when unset. MeasureOnce
-// applies it to measurement windows; microbenches (bench_sim_core) apply it to op counts.
+// Parses a bench scale fraction in full: true and *out set only for a number in (0, 1]
+// with no trailing text ("abc", "0.5x", "0" and "1.5" are all rejected).
+bool ParseBenchScale(const char* text, double* out);
+
+// Smoke-scale factor from ACHILLES_BENCH_SCALE in (0, 1], or 1.0 when unset or empty.
+// MeasureOnce applies it to measurement windows; microbenches (bench_sim_core) apply it
+// to op counts. A value ParseBenchScale rejects exits the process with status 2; BenchIo
+// calls this at startup so every bench binary fails before it runs anything.
 double BenchScale();
 
 // Default measurement windows per network profile (WAN views are ~400x longer).

@@ -13,7 +13,7 @@
 //
 // Parse extracts the family from argv in place — consumed entries are removed and *argc
 // shrinks — so a tool's own parser only ever sees its private flags. Tools that have no
-// use for an out-path (chaos_main, bench_trend) still accept the family: the values are
+// use for an out-path (chaos_main, bench_all) still accept the family: the values are
 // parsed, exposed through the accessors, and simply unused.
 #ifndef SRC_HARNESS_FLAGS_H_
 #define SRC_HARNESS_FLAGS_H_

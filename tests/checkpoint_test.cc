@@ -4,6 +4,10 @@
 // adversarial snapshot fates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/checkpoint/checkpoint.h"
 #include "src/checkpoint/manager.h"
 #include "src/harness/cluster.h"
@@ -158,6 +162,60 @@ TEST(CheckpointClusterTest, StableCheckpointsFormAndCompactTheLog) {
   EXPECT_LT(retained_on, retained_off / 2)
       << "compaction retained " << retained_on << " records vs " << retained_off
       << " without";
+}
+
+// Per-node max of log.entries_retained (WAL records + in-memory block store) at 1, 2, 4
+// and 8 virtual seconds after start.
+std::vector<double> RetainedEntriesOverTime(const ClusterConfig& config) {
+  Cluster cluster(config);
+  cluster.Start();
+  std::vector<double> samples;
+  SimTime at = 0;
+  for (const int sec : {1, 2, 4, 8}) {
+    cluster.sim().RunFor(Sec(sec) - at);
+    at = Sec(sec);
+    cluster.RefreshFootprintGauges();
+    double worst = 0.0;
+    for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
+      const obs::MetricsRegistry::Labels labels{{"node", std::to_string(i)}};
+      worst = std::max(
+          worst, cluster.metrics().GetGauge("log.entries_retained", labels)->value());
+    }
+    samples.push_back(worst);
+  }
+  return samples;
+}
+
+std::string Join(const std::vector<double>& samples) {
+  std::string out;
+  for (const double v : samples) {
+    out += (out.empty() ? "" : " -> ") + std::to_string(static_cast<uint64_t>(v));
+  }
+  return out;
+}
+
+TEST(CheckpointClusterTest, RetainedLogPlateausWithCheckpointsOn) {
+  // Bounded state: once checkpoints truncate the log, no later sample (8 s of history at
+  // the last) retains more than twice what 1 s did, for every protocol.
+  for (int p = 0; p < kNumProtocols; ++p) {
+    const Protocol protocol = static_cast<Protocol>(p);
+    const std::vector<double> samples = RetainedEntriesOverTime(CkptConfig(protocol, 8, 77));
+    EXPECT_LE(*std::max_element(samples.begin(), samples.end()), 2 * samples.front())
+        << ProtocolName(protocol) << " retained entries at 1/2/4/8 s: " << Join(samples);
+  }
+}
+
+TEST(CheckpointClusterTest, RetainedLogGrowsWithCheckpointsOff) {
+  // The plateau above is the checkpoints' doing: without them, every protocol that keeps
+  // a host WAL retains its whole history and fails the same bound.
+  for (const Protocol protocol : {Protocol::kDamysusR, Protocol::kOneShotR,
+                                  Protocol::kFlexiBft, Protocol::kRaft, Protocol::kMinBft}) {
+    ClusterConfig config = CkptConfig(protocol, 8, 77);
+    config.ckpt.enabled = false;
+    const std::vector<double> samples = RetainedEntriesOverTime(config);
+    EXPECT_GT(samples.back(), 2 * samples.front())
+        << ProtocolName(protocol) << " retained entries at 1/2/4/8 s: " << Join(samples);
+  }
 }
 
 TEST(CheckpointClusterTest, LaggardRejoinsViaSnapshotTransfer) {

@@ -1,8 +1,8 @@
 // bench_all: runs every bench binary with --json-out and merges the per-bench reports
-// into one BENCH_summary.json for CI artifacts and cross-commit comparison.
+// into one BENCH_summary.json for CI artifacts.
 //
 // Usage: bench_all [--smoke] [--scale=F] [--jobs=N] [--bin-dir=DIR] [--out=PATH]
-//                  [--only=SUBSTR] [--guard-baseline=PATH] [--defense=NAME]
+//                  [--only=SUBSTR] [--defense=NAME]
 //
 //   --smoke        CI plumbing mode: exports ACHILLES_BENCH_SCALE=0.05 to the child
 //                  benches, which shrinks every measured window (src/harness/experiment.cc
@@ -11,28 +11,24 @@
 //   --scale=F      Like --smoke with an explicit fraction in (0, 1).
 //   --jobs=N       Run up to N bench binaries concurrently. Each child's stdout/stderr is
 //                  buffered to BENCH_<name>.log and replayed in the fixed kBenches order
-//                  once everything finishes, and reports merge in that same order — the
-//                  summary is byte-comparable with a --jobs=1 run (modulo the wall-clock
-//                  metrics themselves). Concurrent children share the machine, so their
-//                  events-per-wall-second gauges dip; use --jobs=1 for quotable numbers.
+//                  once everything finishes, and reports merge in that same order, so the
+//                  per-bench reports match a --jobs=1 run byte for byte.
 //   --bin-dir=DIR  Directory holding the bench_* binaries (default: auto-detected from
 //                  argv[0], assuming the CMake layout build/tools + build/bench).
 //   --out=PATH     Summary path (default BENCH_summary.json in the working directory).
-//   --only=SUBSTR  Run only benches whose name contains SUBSTR.
+//   --only=SUBSTR  Run only benches whose name contains SUBSTR (none matching: exit 2).
 //   --defense=NAME Forward --defense=NAME (local|rollbaccine|healer) to every child bench
 //                  except bench_defense (which sweeps all backends itself), so a whole
 //                  summary can be generated under one rollback-defense backend.
-//   --guard-baseline=PATH
-//                  Perf-regression guard: compares this run's fig4 peak
-//                  sim.events_per_wall_sec against the committed baseline summary at PATH
-//                  and fails (exit 1) when the current number drops below 80% of the
-//                  baseline. The ratio is scale-insensitive enough to run at smoke scale,
-//                  which is how CI wires it (see ci.yml bench-smoke).
+//
+// Exit status: 0 when every bench ran and reported, 1 when any failed, 2 on a usage
+// error (unknown flag, malformed --scale/--jobs, or an --only that selects nothing).
 //
 // The summary embeds, per bench: exit code, headline stats of the best-throughput run
 // (TPS, commit p50/p99, e2e p99, latency breakdown), the simulator self-profiling gauges
 // of that run, and the full per-bench report re-serialized verbatim. Plus one block of
 // run metadata: git commit/branch/dirty and the default CostModel the benches simulate.
+// Wall-clock performance is not measured here; perfbench (BENCHMARK.json) owns it.
 #include <unistd.h>
 
 #include <algorithm>
@@ -44,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/harness/experiment.h"
 #include "src/harness/flags.h"
 #include "src/obs/json.h"
 #include "src/tee/cost_model.h"
@@ -253,80 +250,6 @@ void WriteHeadline(obs::JsonWriter& w, const obs::JsonValue& report) {
   w.EndObject();
 }
 
-// Extracts fig4's best sim.events_per_wall_sec from a merged summary, or -1 when absent
-// (bench skipped by --only, failed, or a pre-guard summary format). The MAX over the
-// bench's runs is the guard metric: it is the sweep point where the simulator itself is
-// the bottleneck, and it is reproducible to well under 1% on an idle machine — unlike
-// the best-TPS run's gauge, which lands on a crypto-bound config and swings tens of
-// percent run to run.
-double Fig4EventsPerWallSec(const obs::JsonValue& summary) {
-  const obs::JsonValue* benches = summary.Get("benches");
-  if (benches == nullptr || !benches->is_array()) {
-    return -1.0;
-  }
-  for (const obs::JsonValue& bench : benches->array) {
-    const obs::JsonValue* binary = bench.Get("binary");
-    if (binary == nullptr || !binary->is_string() ||
-        binary->string != "bench_fig4_saturation") {
-      continue;
-    }
-    const obs::JsonValue* report = bench.Get("report");
-    const obs::JsonValue* runs = report != nullptr ? report->Get("runs") : nullptr;
-    if (runs == nullptr || !runs->is_array()) {
-      return -1.0;
-    }
-    double best = -1.0;
-    for (const obs::JsonValue& run : runs->array) {
-      const obs::JsonValue* metrics = run.Get("metrics");
-      if (metrics != nullptr) {
-        best = std::max(best, NumberOr(metrics->Get("sim.events_per_wall_sec"), -1.0));
-      }
-    }
-    return best;
-  }
-  return -1.0;
-}
-
-// The perf-regression guard behind --guard-baseline. Compares the freshly-merged summary
-// against the committed baseline and fails on a >20% events-per-wall-second drop.
-// Returns 0 on pass, 1 on regression or unusable inputs (a silently-skipped guard would
-// defeat its purpose, so a baseline that no longer parses is also a failure).
-int RunGuard(const std::string& baseline_path, const obs::JsonValue& current) {
-  const std::optional<obs::JsonValue> baseline = obs::ParseJson(ReadFile(baseline_path));
-  if (!baseline.has_value() || !baseline->is_object()) {
-    std::fprintf(stderr, "bench_all: guard baseline %s missing or unparseable\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  const double base = Fig4EventsPerWallSec(*baseline);
-  const double now = Fig4EventsPerWallSec(current);
-  if (base <= 0.0) {
-    std::fprintf(stderr, "bench_all: guard baseline %s has no fig4 events/wall-sec\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  if (now <= 0.0) {
-    std::fprintf(stderr,
-                 "bench_all: guard: current run has no fig4 events/wall-sec (did --only "
-                 "exclude bench_fig4_saturation?)\n");
-    return 1;
-  }
-  const double ratio = now / base;
-  std::printf("bench_all: perf guard: fig4 events/wall-sec %.0f vs baseline %.0f (%.2fx)\n",
-              now, base, ratio);
-  if (ratio < 0.8) {
-    std::fprintf(stderr,
-                 "bench_all: PERF REGRESSION: fig4 sim.events_per_wall_sec dropped to "
-                 "%.0f%% of the committed baseline (threshold 80%%).\n"
-                 "If the slowdown is intentional, regenerate the baseline:\n"
-                 "  build/tools/bench_all --smoke --only=fig4_saturation "
-                 "--out=BENCH_summary.json\n",
-                 ratio * 100.0);
-    return 1;
-  }
-  return 0;
-}
-
 // One bench child scheduled by the --jobs pool.
 struct BenchTask {
   const char* name = nullptr;
@@ -414,7 +337,6 @@ int Main(int argc, char** argv) {
   std::string bin_dir;
   std::string out_path = "BENCH_summary.json";
   std::string only;
-  std::string guard_baseline;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
@@ -422,26 +344,31 @@ int Main(int argc, char** argv) {
       scale = 0.05;
     } else if (arg.rfind("--scale=", 0) == 0) {
       smoke = true;
-      scale = std::atof(arg.c_str() + 8);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = std::atoi(arg.c_str() + 7);
-      if (jobs < 1) {
-        std::fprintf(stderr, "bench_all: --jobs wants a positive integer\n");
+      if (!ParseBenchScale(arg.c_str() + 8, &scale) || scale >= 1.0) {
+        std::fprintf(stderr, "bench_all: --scale wants a fraction in (0, 1), got '%s'\n",
+                     arg.c_str() + 8);
         return 2;
       }
+    } else if (arg.rfind("--jobs=", 0) == 0) {
+      const char* value = arg.c_str() + 7;
+      char* end = nullptr;
+      const long parsed = std::strtol(value, &end, 10);
+      if (end == value || *end != '\0' || parsed < 1 || parsed > 1024) {
+        std::fprintf(stderr, "bench_all: --jobs wants a positive integer, got '%s'\n",
+                     value);
+        return 2;
+      }
+      jobs = static_cast<int>(parsed);
     } else if (arg.rfind("--bin-dir=", 0) == 0) {
       bin_dir = arg.substr(10);
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--only=", 0) == 0) {
       only = arg.substr(7);
-    } else if (arg.rfind("--guard-baseline=", 0) == 0) {
-      guard_baseline = arg.substr(17);
     } else {
       std::fprintf(stderr,
                    "usage: bench_all [--smoke] [--scale=F] [--jobs=N] [--bin-dir=DIR] "
-                   "[--out=PATH] [--only=SUBSTR] [--guard-baseline=PATH] "
-                   "[--defense=NAME]\n");
+                   "[--out=PATH] [--only=SUBSTR] [--defense=NAME]\n");
       return 2;
     }
   }
@@ -482,6 +409,10 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "bench_all: %s not found (use --bin-dir)\n", name);
     }
     tasks.push_back(std::move(task));
+  }
+  if (tasks.empty()) {
+    std::fprintf(stderr, "bench_all: --only=%s selects no bench\n", only.c_str());
+    return 2;
   }
   if (jobs > 1) {
     std::printf("bench_all: running %zu bench(es) with %d concurrent job(s)\n",
@@ -582,13 +513,6 @@ int Main(int argc, char** argv) {
   std::fclose(f);
   std::printf("bench_all: wrote %s (%d bench(es), %d failure(s))\n", out_path.c_str(), ran,
               failures);
-
-  if (!guard_baseline.empty()) {
-    const std::optional<obs::JsonValue> current = obs::ParseJson(w.str());
-    if (!current.has_value() || RunGuard(guard_baseline, *current) != 0) {
-      return 1;
-    }
-  }
   return failures == 0 ? 0 : 1;
 }
 
