@@ -1,5 +1,6 @@
 // Simulated client population running on its own host. Two modes:
-//  - rate mode: open-loop Poisson-paced submissions at a target tx/s;
+//  - rate mode: open loop at a target tx/s, paced per tick: each tick submits rate × tick
+//    txs, carrying the fractional remainder to the next tick (no random arrivals);
 //  - saturating mode (rate 0): keeps a bounded number of transactions outstanding so replica
 //    mempools never run dry without growing unboundedly.
 // Replies feed end-to-end latency: the first valid reply per block confirms it (reply

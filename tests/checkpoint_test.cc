@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -164,9 +165,9 @@ TEST(CheckpointClusterTest, StableCheckpointsFormAndCompactTheLog) {
       << " without";
 }
 
-// Per-node max of log.entries_retained (WAL records + in-memory block store) at 1, 2, 4
-// and 8 virtual seconds after start.
-std::vector<double> RetainedEntriesOverTime(const ClusterConfig& config) {
+// Per-node max of `probe` at 1, 2, 4 and 8 virtual seconds after start.
+std::vector<double> PerNodeMaxOverTime(
+    const ClusterConfig& config, const std::function<double(Cluster&, uint32_t)>& probe) {
   Cluster cluster(config);
   cluster.Start();
   std::vector<double> samples;
@@ -177,13 +178,19 @@ std::vector<double> RetainedEntriesOverTime(const ClusterConfig& config) {
     cluster.RefreshFootprintGauges();
     double worst = 0.0;
     for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
-      const obs::MetricsRegistry::Labels labels{{"node", std::to_string(i)}};
-      worst = std::max(
-          worst, cluster.metrics().GetGauge("log.entries_retained", labels)->value());
+      worst = std::max(worst, probe(cluster, i));
     }
     samples.push_back(worst);
   }
   return samples;
+}
+
+// log.entries_retained: WAL records + in-memory block store.
+std::vector<double> RetainedEntriesOverTime(const ClusterConfig& config) {
+  return PerNodeMaxOverTime(config, [](Cluster& cluster, uint32_t node) {
+    const obs::MetricsRegistry::Labels labels{{"node", std::to_string(node)}};
+    return cluster.metrics().GetGauge("log.entries_retained", labels)->value();
+  });
 }
 
 std::string Join(const std::vector<double>& samples) {
@@ -203,6 +210,84 @@ TEST(CheckpointClusterTest, RetainedLogPlateausWithCheckpointsOn) {
     EXPECT_LE(*std::max_element(samples.begin(), samples.end()), 2 * samples.front())
         << ProtocolName(protocol) << " retained entries at 1/2/4/8 s: " << Join(samples);
   }
+}
+
+// Per-node max of `probe` over the mempool, at 1/2/4/8 s of a load below every protocol's
+// capacity (Damysus-R, the slowest, commits ~1.6 K tx/s here), so the in-flight window is
+// stationary. Past capacity the backlog, and with it the mempool, grows by design.
+std::vector<double> MempoolOverTime(Protocol protocol,
+                                    double (*probe)(const Mempool::Footprint&)) {
+  ClusterConfig config = CkptConfig(protocol, 8, 77);
+  config.client_rate_tps = 1000.0;
+  return PerNodeMaxOverTime(config, [probe](Cluster& cluster, uint32_t node) {
+    return probe(cluster.replica(node)->mempool_footprint());
+  });
+}
+
+// A plateau bound: no sample above twice the 1 s value, where a 1 s value under `floor`
+// counts as `floor`; below one batch, values are a few words or txs of jitter.
+double PlateauBound(const std::vector<double>& samples, double floor) {
+  return 2 * std::max(samples.front(), floor);
+}
+
+TEST(CheckpointClusterTest, MempoolIdStatePlateaus) {
+  // The dedup state follows the in-flight window, not history: window words plus run keys.
+  for (int p = 0; p < kNumProtocols; ++p) {
+    const Protocol protocol = static_cast<Protocol>(p);
+    const double batch = static_cast<double>(CkptConfig(protocol, 8, 77).batch_size);
+    const std::vector<double> ids = MempoolOverTime(protocol, [](const Mempool::Footprint& fp) {
+      return static_cast<double>(fp.words + fp.runs);
+    });
+    EXPECT_LE(*std::max_element(ids.begin(), ids.end()), PlateauBound(ids, batch / 32))
+        << ProtocolName(protocol) << " mempool id state at 1/2/4/8 s: " << Join(ids);
+  }
+}
+
+TEST(CheckpointClusterTest, MempoolQueuePlateaus) {
+  // Replicas that rarely or never lead drop committed txs off their queue as they commit.
+  for (int p = 0; p < kNumProtocols; ++p) {
+    const Protocol protocol = static_cast<Protocol>(p);
+    const double batch = static_cast<double>(CkptConfig(protocol, 8, 77).batch_size);
+    const std::vector<double> queued = MempoolOverTime(
+        protocol, [](const Mempool::Footprint& fp) { return static_cast<double>(fp.queued); });
+    EXPECT_LE(*std::max_element(queued.begin(), queued.end()), PlateauBound(queued, batch))
+        << ProtocolName(protocol) << " mempool queue at 1/2/4/8 s: " << Join(queued);
+  }
+}
+
+TEST(CheckpointClusterTest, MempoolIdStateWithKvLeaseReadsGrowsTwoBitsPerKvOp) {
+  // Raft's stable leader serves GETs off its lease. Each such read consumes a KV client
+  // seq that never reaches a pool, so that client's window cannot trim past it and exact
+  // dedup keeps two bits for every later KV seq. All of it is window words: run keys,
+  // which cost a map node each, stay flat.
+  ClusterConfig config = CkptConfig(Protocol::kRaft, 8, 77);
+  config.client_rate_tps = 1000.0;
+  config.app_kv = true;
+  const double load_words = static_cast<double>(config.batch_size) / 32;
+  Cluster cluster(config);
+  cluster.Start();
+  std::vector<double> words;
+  std::vector<double> runs;
+  SimTime at = 0;
+  for (const int sec : {1, 2, 4, 8}) {
+    cluster.sim().RunFor(Sec(sec) - at);
+    at = Sec(sec);
+    words.push_back(0.0);
+    runs.push_back(0.0);
+    for (uint32_t i = 0; i < cluster.num_replicas(); ++i) {
+      const Mempool::Footprint fp = cluster.replica(i)->mempool_footprint();
+      words.back() = std::max(words.back(), static_cast<double>(fp.words));
+      runs.back() = std::max(runs.back(), static_cast<double>(fp.runs));
+    }
+    // The KV window (a word per 32 KV seqs) beside the load client's in-flight one.
+    const double kv_seqs = static_cast<double>(cluster.kv_client()->ops().size());
+    EXPECT_LE(words.back(), kv_seqs / 32 + 2 * load_words + 2)
+        << sec << " s, " << kv_seqs << " KV seqs";
+  }
+  EXPECT_GT(cluster.kv_service()->lease_reads_served(), 0u);
+  EXPECT_GT(words.back(), 2 * words.front()) << "window words at 1/2/4/8 s: " << Join(words);
+  EXPECT_LE(*std::max_element(runs.begin(), runs.end()), PlateauBound(runs, 8))
+      << "run keys at 1/2/4/8 s: " << Join(runs);
 }
 
 TEST(CheckpointClusterTest, RetainedLogGrowsWithCheckpointsOff) {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <unordered_set>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/consensus/block.h"
 #include "src/consensus/certificates.h"
 #include "src/consensus/commit_tracker.h"
@@ -142,6 +149,227 @@ TEST(MempoolTest, CommittedTxsNeverReenterOrLeave) {
   EXPECT_EQ(batch[0].id, txs[2].id);
   pool.AddBatch({txs[0]});  // Resubmission of committed tx.
   EXPECT_EQ(pool.pending(), 0u);
+}
+
+// Reference mempool: two ever-growing id sets and a FIFO whose committed front is dropped
+// on commit, the state the windowed pool must reproduce answer for answer.
+class ReferenceMempool {
+ public:
+  void AddBatch(const std::vector<Transaction>& txs) {
+    for (const Transaction& tx : txs) {
+      if (known_.insert(tx.id).second) {
+        queue_.push_back(tx);
+      }
+    }
+  }
+
+  std::vector<Transaction> TakeBatch(size_t max) {
+    std::vector<Transaction> batch;
+    while (batch.size() < max && !queue_.empty()) {
+      const Transaction tx = queue_.front();
+      queue_.pop_front();
+      if (committed_.count(tx.id) == 0) {
+        batch.push_back(tx);
+      }
+    }
+    return batch;
+  }
+
+  void MarkCommitted(const std::vector<Transaction>& txs) {
+    for (const Transaction& tx : txs) {
+      committed_.insert(tx.id);
+      known_.insert(tx.id);
+    }
+    while (!queue_.empty() && committed_.count(queue_.front().id) != 0) {
+      queue_.pop_front();
+    }
+  }
+
+  size_t pending() const { return queue_.size(); }
+
+ private:
+  std::deque<Transaction> queue_;
+  std::unordered_set<uint64_t> known_;
+  std::unordered_set<uint64_t> committed_;
+};
+
+// One client's submission cursor. Streams start at seq 0, mid-stream (a replica that
+// rebooted and first hears a client late) or just below 2^32.
+struct FuzzClient {
+  uint32_t id;
+  uint64_t next;
+};
+
+std::vector<Transaction> FuzzIds(const FuzzClient& c, uint64_t from, size_t count) {
+  std::vector<Transaction> txs;
+  for (uint64_t seq = from; seq < from + count && seq <= UINT32_MAX; ++seq) {
+    txs.push_back(Transaction{Transaction::MakeId(c.id, static_cast<uint32_t>(seq)), 0, 8});
+  }
+  return txs;
+}
+
+// Drives the windowed pool and the reference in lockstep through in-order, reordered and
+// duplicate submits, commits ahead of and behind submission, seq gaps small and far past
+// a window's reach (some replayed in order after a commit past them, as a lagging replica
+// would), junk 64-bit ids, id 0 and seqs at the top of the 32-bit range; every TakeBatch
+// result and pending() must match after every op.
+void MempoolDifferentialFuzz(uint64_t seed, size_t num_ops) {
+  Mempool pool;
+  ReferenceMempool ref;
+  Rng rng(seed * 0x9e3779b97f4a7c15ULL + 7);
+  std::vector<FuzzClient> clients = {{0, 0},
+                                     {1, 0},
+                                     {7, rng.UniformU64(1 << 20)},
+                                     {UINT32_MAX, UINT32_MAX - 3000}};
+  auto both = [&](auto&& op) {
+    op(pool);
+    op(ref);
+  };
+  for (size_t op = 0; op < num_ops; ++op) {
+    FuzzClient& c = clients[rng.UniformU64(clients.size())];
+    const size_t count = 1 + rng.UniformU64(40);
+    const uint64_t roll = rng.UniformU64(100);
+    std::vector<Transaction> txs;
+    bool commit = false;
+    if (roll < 35) {  // In-order submit, sometimes shuffled in flight.
+      txs = FuzzIds(c, c.next, count);
+      c.next += count;
+      if (rng.Chance(0.3)) {
+        for (size_t i = txs.size(); i > 1; --i) {
+          std::swap(txs[i - 1], txs[rng.UniformU64(i)]);
+        }
+      }
+    } else if (roll < 45) {  // Duplicate or late resubmit of an earlier range.
+      txs = FuzzIds(c, rng.UniformU64(c.next + 1), count);
+    } else if (roll < 60) {  // Commit behind submission, usually near the front.
+      const uint64_t back = rng.Chance(0.8) ? rng.UniformU64(200) : rng.UniformU64(c.next + 1);
+      txs = FuzzIds(c, c.next - std::min(back, c.next), count);
+      commit = true;
+    } else if (roll < 65) {  // Commit ahead of submission (a block that outran the submit).
+      txs = FuzzIds(c, c.next + rng.UniformU64(100), count);
+      commit = true;
+    } else if (roll < 70) {  // Seq gap: lost txs, a long partition, or far past the window.
+      static constexpr uint64_t kGaps[] = {1, 50, 3000, 100000, 200000};
+      const uint64_t gap = 1 + rng.UniformU64(kGaps[rng.UniformU64(5)]);
+      if (rng.Chance(0.02)) {
+        // A lagging replica: a commit past the gap lands first, then it replays the gap.
+        const std::vector<Transaction> ahead = FuzzIds(c, c.next + gap, count);
+        both([&](auto& p) { p.MarkCommitted(ahead); });
+        txs = FuzzIds(c, c.next, gap);
+        commit = true;
+      }
+      c.next += gap;
+    } else if (roll < 74) {  // Junk 64-bit ids, as the Byzantine spammer sends.
+      for (size_t i = 0; i < count; ++i) {
+        txs.push_back(Transaction{rng.NextU64(), 0, 8});
+      }
+      commit = rng.Chance(0.3);
+    } else if (roll < 76) {  // Id 0 and the top id.
+      txs = {Transaction{0, 0, 8}, Transaction{UINT64_MAX, 0, 8}};
+      commit = rng.Chance(0.5);
+    } else if (roll < 77 && clients.size() < 8) {  // A new client, first heard mid-stream.
+      clients.push_back({static_cast<uint32_t>(2 + rng.UniformU64(1000)), rng.UniformU64(5000)});
+    } else {
+      const size_t max = rng.UniformU64(60);
+      const std::vector<Transaction> got = pool.TakeBatch(max);
+      const std::vector<Transaction> want = ref.TakeBatch(max);
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " op " << op;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].id, want[i].id) << "seed " << seed << " op " << op << " tx " << i;
+      }
+    }
+    if (commit) {
+      both([&](auto& p) { p.MarkCommitted(txs); });
+    } else if (!txs.empty()) {
+      both([&](auto& p) { p.AddBatch(txs); });
+    }
+    ASSERT_EQ(pool.pending(), ref.pending()) << "seed " << seed << " op " << op;
+  }
+  const std::vector<Transaction> rest = pool.TakeBatch(SIZE_MAX);
+  ASSERT_EQ(rest.size(), ref.TakeBatch(SIZE_MAX).size()) << "seed " << seed;
+}
+
+TEST(MempoolTest, DifferentialFuzzAgainstTwoSetReference) {
+  for (uint64_t seed = 1; seed <= 56; ++seed) {
+    MempoolDifferentialFuzz(seed, 10'000);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST(MempoolTest, WindowCatchesUpWithCommitsStoredFarAhead) {
+  // Commits far past the window go to the runs. When in-order commits bring the window up
+  // to them, it takes them over, and a whole committed word drops below the watermark at
+  // once, taking the id being looked up with it.
+  Mempool pool;
+  const auto range = [](uint32_t from, uint32_t to) {
+    std::vector<Transaction> txs;
+    for (uint32_t seq = from; seq < to; ++seq) {
+      txs.push_back(Transaction{Transaction::MakeId(3, seq), 0, 8});
+    }
+    return txs;
+  };
+  pool.AddBatch(range(0, 2));
+  pool.MarkCommitted(range(200'000, 200'064));
+  for (uint32_t seq = 0; seq < 200'000; seq += 1000) {
+    pool.MarkCommitted(range(seq, seq + 1000));
+  }
+  pool.AddBatch(range(200'010, 200'011));
+  pool.AddBatch(range(199'990, 200'100));
+  EXPECT_EQ(pool.pending(), 36u);  // Only 200064..200099 are new.
+  const Mempool::Footprint fp = pool.footprint();
+  EXPECT_EQ(fp.runs, 0u);
+  EXPECT_EQ(fp.words, 2u);
+}
+
+TEST(MempoolTest, JunkIdsCostTwoRunKeysAndNoWindow) {
+  // A Byzantine spammer's random ids never form a stream, so each costs at most the two
+  // run keys that bound it, and opens no window; the honest client's window stays small.
+  Mempool pool;
+  Rng rng(99);
+  std::vector<Transaction> junk;
+  for (int i = 0; i < 10'000; ++i) {
+    junk.push_back(Transaction{rng.NextU64(), 0, 8});
+  }
+  const std::vector<Transaction> honest = MakeTxs(5, 4000);
+  pool.AddBatch(junk);
+  pool.AddBatch(honest);
+  pool.MarkCommitted(pool.TakeBatch(SIZE_MAX));
+  const Mempool::Footprint fp = pool.footprint();
+  EXPECT_EQ(fp.windows, 1u);
+  EXPECT_EQ(fp.words, 0u);  // Every honest seq committed: the watermark passed them all.
+  EXPECT_LE(fp.runs, 2 * junk.size());
+  pool.AddBatch(junk);
+  pool.AddBatch(honest);
+  EXPECT_EQ(pool.pending(), 0u);
+}
+
+TEST(MempoolTest, SkippedSeqsCostTwoBitsEachAndNoRunKeys) {
+  // A KV client's lease reads consume seqs that never reach any pool, so its window can
+  // never trim past the first of them. Exact dedup has to remember every such hole: the
+  // window keeps two bits a seq however long the stream runs, and spills no run keys.
+  Mempool pool;
+  Rng rng(5);
+  constexpr uint32_t kSeqs = 400'000;
+  std::vector<Transaction> holes;
+  for (uint32_t from = 0; from < kSeqs; from += 1000) {
+    std::vector<Transaction> ordered;
+    for (uint32_t seq = from; seq < from + 1000; ++seq) {
+      const Transaction tx{Transaction::MakeId(9, seq), 0, 8};
+      (seq < 2 || rng.Chance(0.3) ? ordered : holes).push_back(tx);
+    }
+    pool.AddBatch(ordered);
+    pool.MarkCommitted(pool.TakeBatch(SIZE_MAX));
+  }
+  const Mempool::Footprint fp = pool.footprint();
+  EXPECT_EQ(fp.windows, 1u);
+  EXPECT_EQ(fp.runs, 0u);
+  EXPECT_EQ(fp.words, kSeqs / 32);
+  // Every hole is still unknown: each enters the queue once, and no committed id does.
+  pool.AddBatch(holes);
+  pool.AddBatch(holes);
+  EXPECT_EQ(pool.pending(), holes.size());
 }
 
 // --- Certificates ---
