@@ -36,8 +36,11 @@ Hash256 HeaderHash(View view, Height height, const Hash256& parent, const Hash25
 }  // namespace
 
 size_t Block::WireSize() const {
-  // view + height + parent + exec_result + hash + tx batch.
-  return 8 + 8 + 32 + 32 + 32 + TotalWireSize(txs);
+  if (wire_size_memo_ == 0) {
+    // view + height + parent + exec_result + hash + tx batch.
+    wire_size_memo_ = 8 + 8 + 32 + 32 + 32 + TotalWireSize(txs);
+  }
+  return wire_size_memo_;
 }
 
 const BlockPtr& Block::Genesis() {
@@ -47,7 +50,11 @@ const BlockPtr& Block::Genesis() {
     g->height = 0;
     g->parent = ZeroHash();
     g->exec_result = Sha256Digest(AsBytes("genesis-state"));
-    g->hash = HeaderHash(0, 0, g->parent, TxRoot({}), g->exec_result);
+    g->hash = HeaderHash(0, 0, g->parent, g->CachedTxRoot(), g->exec_result);
+    // Every simulation in the process shares this block, and simulations may run on
+    // separate threads: fill its memos here, under the static's one-time initialisation,
+    // so that no later call writes them.
+    g->WireSize();
     return g;
   }();
   return genesis;

@@ -18,8 +18,8 @@ using BlockPtr = std::shared_ptr<const Block>;
 
 struct Block {
   Block() = default;
-  // Copies drop the digest memos: a copy may be mutated (e.g. a forged variant in tests),
-  // and the memos are only sound while the fields they were derived from stay fixed.
+  // Copies drop the digest and size memos: a copy may be mutated (e.g. a forged variant in
+  // tests), and the memos are only sound while the fields they were derived from stay fixed.
   Block(const Block& other)
       : view(other.view),
         height(other.height),
@@ -38,6 +38,7 @@ struct Block {
     propose_time = other.propose_time;
     tx_root_memo_set_ = false;
     valid_memo_set_ = false;
+    wire_size_memo_ = 0;
     return *this;
   }
 
@@ -51,7 +52,8 @@ struct Block {
   // Bookkeeping (not part of the hash): when the leader proposed this block.
   SimTime propose_time = 0;
 
-  // Header + certificate-free body size on the wire.
+  // Header + certificate-free body size on the wire, computed on first use and memoized
+  // (every send and receive of the block asks again; see the ValidUnder note).
   size_t WireSize() const;
 
   // The hard-coded genesis block G (height 0, view 0).
@@ -83,6 +85,7 @@ struct Block {
   mutable Hash256 valid_memo_parent_;
   mutable bool valid_memo_set_ = false;
   mutable bool valid_memo_ok_ = false;
+  mutable size_t wire_size_memo_ = 0;  // 0 until computed; a block's is never 0.
 };
 
 // Durable-log codec: the full block (bookkeeping fields included) as a host-WAL record.

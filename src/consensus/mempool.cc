@@ -11,11 +11,49 @@ namespace {
 // stretching the window over the gap, so one id grows a window by at most 8 KiB. Honest
 // gaps are a client's in-flight txs, far below this.
 constexpr uint64_t kMaxAhead = 32768;
-// The committed bit of every seq in a word.
+// The known and the committed bit of every seq in a word.
+constexpr uint64_t kKnownBits = 0x5555555555555555ULL;
 constexpr uint64_t kCommittedBits = 0xAAAAAAAAAAAAAAAAULL;
 
 uint64_t IdOf(uint32_t client, uint64_t seq) {
   return Transaction::MakeId(client, static_cast<uint32_t>(seq));
+}
+
+uint32_t ClientOf(uint64_t id) { return static_cast<uint32_t>(id >> 32); }
+
+uint64_t SeqOf(uint64_t id) { return id & std::numeric_limits<uint32_t>::max(); }
+
+// Calls fn(first, last) for each maximal run [first, last) of `txs` whose ids count up by
+// one within one client; the step from seq 2^32-1 to the next client's seq 0 ends a run.
+template <class Fn>
+void ForEachRun(const std::vector<Transaction>& txs, Fn fn) {
+  const Transaction* const end = txs.data() + txs.size();
+  for (const Transaction* first = txs.data(); first != end;) {
+    const Transaction* last = first + 1;
+    while (last != end && last->id == last[-1].id + 1 &&
+           ClientOf(last->id) == ClientOf(first->id)) {
+      ++last;
+    }
+    fn(first, last);
+    first = last;
+  }
+}
+
+// Both bits of every seq from offset `lo` to offset `hi` of one word (lo <= hi < 32).
+uint64_t PairMask(uint64_t lo, uint64_t hi) {
+  const uint64_t to_hi = hi == 31 ? ~uint64_t{0} : (uint64_t{1} << (2 * hi + 2)) - 1;
+  return to_hi & ~((uint64_t{1} << (2 * lo)) - 1);
+}
+
+// Calls fn(word, mask) for each word of a window based at `base` that holds seqs of
+// [lo, hi] (base <= lo <= hi < end), `mask` selecting those seqs' bits.
+template <class Fn>
+void ForEachWord(std::deque<uint64_t>& words, uint64_t base, uint64_t lo, uint64_t hi, Fn fn) {
+  for (uint64_t seq = lo; seq <= hi;) {
+    const uint64_t last = std::min(hi, seq | 31);
+    fn(words[(seq - base) / 32], PairMask(seq % 32, last % 32));
+    seq = last + 1;
+  }
 }
 
 }  // namespace
@@ -28,34 +66,69 @@ void Mempool::Add(const Transaction& tx) {
 }
 
 void Mempool::AddBatch(const std::vector<Transaction>& txs) {
-  for (const Transaction& tx : txs) {
-    Add(tx);
-  }
+  ForEachRun(txs, [this](const Transaction* first, const Transaction* last) {
+    const uint64_t lo = SeqOf(first->id);
+    const uint64_t hi = SeqOf(last[-1].id);
+    Window* w = WindowForRun(first->id, hi);
+    // Seqs below the watermark are committed, so a fresh run starts at or above it; known
+    // bits never trim the window, so `base` holds still through the run.
+    uint64_t seen = 0;
+    if (w != nullptr && lo >= w->base) {
+      ForEachWord(w->words, w->base, lo, hi,
+                  [&seen](uint64_t word, uint64_t mask) { seen |= word & mask; });
+    }
+    if (w == nullptr || lo < w->base || seen != 0) {
+      for (const Transaction* tx = first; tx != last; ++tx) {
+        Add(*tx);
+      }
+      return;
+    }
+    // The usual submit: every seq of the run is unknown.
+    ForEachWord(w->words, w->base, lo, hi,
+                [](uint64_t& word, uint64_t mask) { word |= mask & kKnownBits; });
+    queue_.insert(queue_.end(), first, last);
+  });
 }
 
 std::vector<Transaction> Mempool::TakeBatch(size_t max) {
   std::vector<Transaction> batch;
   batch.reserve(std::min(max, queue_.size()));
-  while (batch.size() < max && !queue_.empty()) {
-    Transaction tx = queue_.front();
-    queue_.pop_front();
-    if (Touch(tx.id, kUnknown) == kCommitted) {
-      continue;  // Committed while queued.
+  WindowCache cache;
+  auto taken = queue_.begin();
+  for (; batch.size() < max && taken != queue_.end(); ++taken) {
+    if (Peek(taken->id, cache) != kCommitted) {  // Else committed while queued.
+      batch.push_back(*taken);
     }
-    batch.push_back(tx);
   }
+  queue_.erase(queue_.begin(), taken);
   return batch;
 }
 
 void Mempool::MarkCommitted(const std::vector<Transaction>& txs) {
-  for (const Transaction& tx : txs) {
-    Touch(tx.id, kCommitted);
-  }
+  ForEachRun(txs, [this](const Transaction* first, const Transaction* last) {
+    const uint64_t lo = SeqOf(first->id);
+    const uint64_t hi = SeqOf(last[-1].id);
+    Window* w = WindowForRun(first->id, hi);
+    if (w == nullptr) {
+      for (const Transaction* tx = first; tx != last; ++tx) {
+        Touch(tx->id, kCommitted);
+      }
+      return;
+    }
+    if (hi >= w->base) {  // Seqs below the watermark are committed already.
+      ForEachWord(w->words, w->base, std::max(lo, w->base), hi,
+                  [](uint64_t& word, uint64_t mask) { word |= mask; });
+      Trim(*w);  // Once per run: Trim never moves end(), so deferring it changes no answer.
+    }
+  });
   // A replica that never leads never takes a batch, so drop committed txs off the front
   // here; TakeBatch would skip them anyway.
-  while (!queue_.empty() && Touch(queue_.front().id, kUnknown) == kCommitted) {
-    queue_.pop_front();
+  WindowCache cache;
+  auto committed = queue_.begin();
+  while (committed != queue_.end() && Peek(committed->id, cache) == kCommitted) {
+    ++committed;
   }
+  queue_.erase(queue_.begin(), committed);
 }
 
 Mempool::Footprint Mempool::footprint() const {
@@ -70,27 +143,21 @@ Mempool::Footprint Mempool::footprint() const {
 }
 
 uint8_t Mempool::Touch(uint64_t id, uint8_t add) {
-  const uint32_t client = static_cast<uint32_t>(id >> 32);
-  const uint64_t seq = id & std::numeric_limits<uint32_t>::max();
-  const auto found = windows_.find(client);
-  Window* w = found == windows_.end() ? nullptr : &found->second;
-  if (w == nullptr && add != kUnknown && seq > 0 && RunState(id - 1) != kUnknown) {
+  const uint32_t client = ClientOf(id);
+  const uint64_t seq = SeqOf(id);
+  if (seq > 0 && windows_.find(client) == windows_.end() && RunState(id - 1) != kUnknown) {
     // Two ids in a row make a stream (a lone junk id never does): open its window at the
-    // earlier id's word. Extend() below pulls that id's state over from the runs.
-    w = &windows_[client];
-    w->start = w->base = (seq - 1) & ~uint64_t{31};
+    // earlier id's word. WindowForRun() below pulls that id's state over from the runs.
+    Window& opened = windows_[client];
+    opened.start = opened.base = (seq - 1) & ~uint64_t{31};
   }
-  const bool in_window = w != nullptr && seq >= w->start &&
-                         (seq < w->end() || (add != kUnknown && seq - w->end() < kMaxAhead));
-  if (!in_window) {
+  Window* w = WindowForRun(id, seq);  // May raise the watermark past `seq`.
+  if (w == nullptr) {
     const uint8_t old = RunState(id);
     if ((old | add) != old) {
       AssignRuns(id, id, old | add);
     }
     return old;
-  }
-  if (seq >= w->end()) {
-    Extend(*w, client, seq);  // May raise the watermark past `seq`.
   }
   if (seq < w->base) {
     return kCommitted;
@@ -103,6 +170,41 @@ uint8_t Mempool::Touch(uint64_t id, uint8_t add) {
     Trim(*w);
   }
   return old;
+}
+
+Mempool::Window* Mempool::WindowForRun(uint64_t first_id, uint64_t last_seq) {
+  const auto found = windows_.find(ClientOf(first_id));
+  if (found == windows_.end()) {
+    return nullptr;
+  }
+  Window& w = found->second;
+  const uint64_t seq = SeqOf(first_id);
+  if (seq < w.start || (seq >= w.end() && seq - w.end() >= kMaxAhead)) {
+    return nullptr;
+  }
+  if (last_seq >= w.end()) {
+    // One pass over the run's new range pulls the same state out of the runs as growing
+    // the window id by id would.
+    Extend(w, found->first, last_seq);
+  }
+  return &w;
+}
+
+uint8_t Mempool::Peek(uint64_t id, WindowCache& cache) const {
+  if (ClientOf(id) != cache.client) {
+    cache.client = ClientOf(id);
+    const auto found = windows_.find(ClientOf(id));
+    cache.w = found == windows_.end() ? nullptr : &found->second;
+  }
+  const Window* w = cache.w;
+  const uint64_t seq = SeqOf(id);
+  if (w != nullptr && seq >= w->start && seq < w->base) {
+    return kCommitted;  // Below the watermark: no word to read.
+  }
+  if (w == nullptr || seq < w->start || seq >= w->end()) {
+    return RunState(id);
+  }
+  return (w->words[(seq - w->base) / 32] >> (2 * (seq % 32))) & kCommitted;
 }
 
 void Mempool::Extend(Window& w, uint32_t client, uint64_t seq) {

@@ -16,6 +16,10 @@
 // never enters any pool, and a replica that adopts a snapshot never commits the txs it
 // skipped. Exact dedup has to remember such holes, as such a seq may still arrive; in a
 // window they cost two bits a seq and no run key.
+//
+// AddBatch and MarkCommitted take each run of consecutive ids of one client as a unit: one
+// window lookup, word-wide ORs of the known or committed bits, and one queue insert for a
+// fresh submit. Ids no window answers for go through Touch one at a time.
 #ifndef SRC_CONSENSUS_MEMPOOL_H_
 #define SRC_CONSENSUS_MEMPOOL_H_
 
@@ -66,8 +70,22 @@ class Mempool {
     uint64_t end() const { return base + 32 * words.size(); }
   };
 
-  // Returns `id`'s state, then ORs `add` into it. `add == kUnknown` is a pure lookup.
+  // Returns `id`'s state, then ORs `add` (kKnown or kCommitted) into it. The only code
+  // that opens windows or writes `runs_`.
   uint8_t Touch(uint64_t id, uint8_t add);
+  // For a run of consecutive ids of one client from `first_id` to seq `last_seq`, the
+  // window that answers for `first_id` (and so for every later id of the run), grown to
+  // cover `last_seq`; nullptr when no window answers for `first_id`. The one home of the
+  // in-window rule for writes; Touch calls it with a run of one.
+  Window* WindowForRun(uint64_t first_id, uint64_t last_seq);
+  // The last client looked up and its window (nullptr if none).
+  struct WindowCache {
+    uint64_t client = uint64_t{1} << 32;  // None yet: above every client.
+    const Window* w = nullptr;
+  };
+  // `id`'s state, read without growing any window. Ids in queue order mostly share a
+  // client, so `cache` saves the `windows_` lookup until the client changes.
+  uint8_t Peek(uint64_t id, WindowCache& cache) const;
   // Grows `w` to cover `seq`, pulling the new range's state out of `runs_`.
   void Extend(Window& w, uint32_t client, uint64_t seq);
   // Drops leading words whose seqs are all committed.

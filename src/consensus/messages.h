@@ -12,9 +12,19 @@ namespace achilles {
 // Client -> replicas: a batch of fresh transactions.
 struct ClientSubmitMsg : SimMessage {
   const char* TraceName() const override { return "client_submit"; }
-  std::vector<Transaction> txs;
+  std::vector<Transaction> txs;  // Fixed once the message is first sent.
 
-  size_t WireSize() const override { return 8 + TotalWireSize(txs); }
+  // Computed on first use (the first send) and memoized: each of the n replica sends and
+  // deliveries of the same batch asks again.
+  size_t WireSize() const override {
+    if (wire_size_memo_ == 0) {
+      wire_size_memo_ = 8 + TotalWireSize(txs);
+    }
+    return wire_size_memo_;
+  }
+
+ private:
+  mutable size_t wire_size_memo_ = 0;  // 0 until computed; never 0 after.
 };
 
 // Replica -> client: a committed block together with its commitment certificate (the client

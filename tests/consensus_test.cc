@@ -11,6 +11,7 @@
 #include "src/consensus/certificates.h"
 #include "src/consensus/commit_tracker.h"
 #include "src/consensus/mempool.h"
+#include "src/consensus/messages.h"
 #include "src/consensus/metrics.h"
 #include "src/consensus/types.h"
 
@@ -73,6 +74,39 @@ TEST(BlockTest, WireSizeScalesWithPayload) {
   EXPECT_GT(big->WireSize(), small->WireSize());
   // 400 txs * (8 + 256) bytes + header.
   EXPECT_EQ(big->WireSize(), 400u * 264u + 112u);
+}
+
+TEST(BlockTest, WireSizeMemoFollowsTheTxsOfEachCopy) {
+  std::vector<Transaction> txs = MakeTxs(1, 5);
+  txs[2].payload_size = 1000;
+  size_t body = 0;
+  for (const Transaction& tx : txs) {
+    body += 8 + tx.payload_size;
+  }
+  const BlockPtr block = Block::Create(1, Block::Genesis(), txs, 0);
+  EXPECT_EQ(block->WireSize(), 112u + body);
+  EXPECT_EQ(block->WireSize(), 112u + body);  // From the memo.
+
+  // A copy of a block whose size is memoized, then mutated, reports its own txs' size.
+  Block copied(*block);
+  copied.txs.push_back(Transaction{Transaction::MakeId(1, 5), 0, 40});
+  EXPECT_EQ(copied.WireSize(), 112u + body + 48u);
+  Block assigned;
+  EXPECT_EQ(assigned.WireSize(), 112u);  // Memoizes the empty block's size.
+  assigned = *block;
+  assigned.txs.pop_back();
+  EXPECT_EQ(assigned.WireSize(), 112u + body - 264u);
+  EXPECT_EQ(block->WireSize(), 112u + body);
+
+  const Bytes record = EncodeBlockRecord(*block);
+  const BlockPtr decoded = DecodeBlockRecord(ByteView(record.data(), record.size()));
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_EQ(decoded->WireSize(), block->WireSize());
+
+  ClientSubmitMsg submit;
+  submit.txs = txs;
+  EXPECT_EQ(submit.WireSize(), 8u + body);
+  EXPECT_EQ(submit.WireSize(), 8u + body);
 }
 
 // --- BlockStore ---
@@ -295,6 +329,179 @@ TEST(MempoolTest, DifferentialFuzzAgainstTwoSetReference) {
     if (HasFatalFailure()) {
       return;
     }
+  }
+}
+
+// Three pools in lockstep: one fed whole batches (the run path of AddBatch and
+// MarkCommitted), one fed the same ops one id at a time, and the two-set reference.
+// pending() and every TakeBatch must agree after every op, and the two pools must hold the
+// same windows, words and run keys. The one-id pool adds through Add, so its adds go
+// through Touch; its commits are MarkCommitted runs of one, each with its own Trim.
+class LockstepPools {
+ public:
+  void Add(const std::vector<Transaction>& txs) {
+    batched_.AddBatch(txs);
+    for (const Transaction& tx : txs) {
+      single_.Add(tx);
+    }
+    ref_.AddBatch(txs);
+    CheckState();
+  }
+
+  void Commit(const std::vector<Transaction>& txs) {
+    batched_.MarkCommitted(txs);
+    for (const Transaction& tx : txs) {
+      single_.MarkCommitted({tx});
+    }
+    ref_.MarkCommitted(txs);
+    CheckState();
+  }
+
+  void Take(size_t max) {
+    const std::vector<uint64_t> want = Ids(ref_.TakeBatch(max));
+    ASSERT_EQ(Ids(batched_.TakeBatch(max)), want) << "op " << ops_;
+    ASSERT_EQ(Ids(single_.TakeBatch(max)), want) << "op " << ops_;
+    CheckState();
+  }
+
+ private:
+  static std::vector<uint64_t> Ids(const std::vector<Transaction>& txs) {
+    std::vector<uint64_t> ids;
+    for (const Transaction& tx : txs) {
+      ids.push_back(tx.id);
+    }
+    return ids;
+  }
+
+  void CheckState() {
+    ASSERT_EQ(batched_.pending(), ref_.pending()) << "op " << ops_;
+    ASSERT_EQ(single_.pending(), ref_.pending()) << "op " << ops_;
+    // Same state, not only the same answers.
+    const Mempool::Footprint a = batched_.footprint();
+    const Mempool::Footprint b = single_.footprint();
+    ASSERT_EQ(a.windows, b.windows) << "op " << ops_;
+    ASSERT_EQ(a.words, b.words) << "op " << ops_;
+    ASSERT_EQ(a.runs, b.runs) << "op " << ops_;
+    ++ops_;
+  }
+
+  Mempool batched_;
+  Mempool single_;
+  ReferenceMempool ref_;
+  size_t ops_ = 0;
+};
+
+std::vector<Transaction> Seqs(uint32_t client, uint64_t from, size_t count) {
+  return FuzzIds(FuzzClient{client, 0}, from, count);
+}
+
+std::vector<Transaction> Concat(std::vector<Transaction> a, const std::vector<Transaction>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+TEST(MempoolTest, RunPathMatchesPerIdOpsAtEveryEdge) {
+  LockstepPools p;
+  // Client 1 streams from seq 0, so its window starts at 0 and word k holds 32k..32k+31.
+  p.Add(Seqs(1, 0, 2));    // Per id: the second id opens the window.
+  p.Add(Seqs(1, 2, 30));   // Fresh run ending on a word's last seq.
+  p.Add(Seqs(1, 32, 33));  // From a word's first seq to the next word's first.
+  p.Add(Seqs(1, 60, 40));  // Partly known: 60..64.
+  p.Add(Concat(Seqs(1, 100, 20), Seqs(1, 110, 20)));  // Duplicates inside one batch.
+  p.Commit(Seqs(1, 0, 31));   // One short of a word's last seq.
+  p.Commit(Seqs(1, 31, 1));   // The word's last seq: the watermark rises to 32.
+  p.Commit(Seqs(1, 40, 30));  // Ahead of the watermark, across a word boundary.
+  p.Commit(Seqs(1, 20, 30));  // Partly below the watermark; fills 32..39: watermark 64.
+  p.Add(Seqs(1, 60, 10));     // Starts below the watermark, all committed.
+  p.Add(Seqs(1, 64, 70));     // Starts at the watermark: committed, known, then fresh.
+  p.Commit(Seqs(1, 63, 3));   // Straddles the watermark.
+  p.Take(50);
+  p.Commit(Concat(Seqs(1, 90, 10), Seqs(1, 95, 40)));  // Duplicates inside one commit.
+  // The highest seq so far is 134, so the window ends at 160, and 160 + kMaxAhead is the
+  // first seq too far ahead to grow it.
+  constexpr uint64_t kReach = 160 + 32768;
+  p.Commit(Seqs(1, kReach, 5));      // Too far: the runs take it, id by id.
+  p.Commit(Seqs(1, kReach - 1, 3));  // One inside: the window grows and takes over the runs.
+  p.Add(Seqs(1, kReach - 40, 80));
+  p.Take(100);
+
+  // Client 2 is first heard mid-stream: its window starts at 992, the word of seq 1000.
+  p.Add(Seqs(2, 1000, 10));  // Per id: the second id opens the window.
+  p.Add(Seqs(2, 990, 10));   // Starts below the window's start: per id throughout.
+  p.Add(Seqs(2, 992, 20));   // Starts at the window's start.
+  p.Commit(Seqs(2, 985, 30));
+  p.Commit(Seqs(2, 992, 40));
+  p.Add(Seqs(2, 991, 50));
+
+  // Consecutive ids across two clients: client 3's last seq, then client 4's seq 0.
+  p.Add(Seqs(3, UINT32_MAX - 63, 32));  // Opens client 3's window near the top.
+  const std::vector<Transaction> wrap = Concat(Seqs(3, UINT32_MAX - 40, 41), Seqs(4, 0, 40));
+  ASSERT_EQ(wrap[41].id, wrap[40].id + 1);
+  p.Add(wrap);
+  p.Add(Seqs(4, 0, 60));
+  p.Take(20);
+  p.Commit(wrap);
+  p.Add(wrap);
+  p.Take(SIZE_MAX);
+}
+
+TEST(MempoolTest, RunPathMatchesPerIdOpsOnBatchShapedTraffic) {
+  // Runs of up to 600 ids that start at the edges the run path cares about: word
+  // boundaries, the in-order commit cursor (where the watermark sits), and the window's
+  // reach, with overlapping runs in one batch and runs across the top of client 3.
+  struct Stream {
+    uint32_t client;
+    uint64_t next;       // Next fresh seq.
+    uint64_t committed;  // In-order commit cursor.
+  };
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    LockstepPools p;
+    Rng rng(seed);
+    std::vector<Stream> streams = {
+        {1, 0, 0}, {2, 5000 + rng.UniformU64(64), 0}, {3, UINT32_MAX - 3000, 0}};
+    streams[1].committed = streams[1].next;
+    streams[2].committed = streams[2].next;
+    for (int op = 0; op < 2000 && !HasFatalFailure(); ++op) {
+      Stream& s = streams[rng.UniformU64(streams.size())];
+      const uint64_t anchors[] = {s.next, s.committed, s.committed & ~uint64_t{31},
+                                  (s.next | 31) + 1, (s.next | 31) + 1 + 32768};
+      const uint64_t anchor = anchors[rng.UniformU64(5)];
+      const uint64_t from = anchor - std::min<uint64_t>(anchor, rng.UniformU64(4));
+      const size_t count = 1 + rng.UniformU64(rng.Chance(0.5) ? 40 : 600);
+      std::vector<Transaction> txs;
+      const uint64_t roll = rng.UniformU64(100);
+      if (roll < 35) {  // In-order submit.
+        txs = Seqs(s.client, s.next, count);
+        s.next += count;
+      } else if (roll < 55) {
+        txs = Seqs(s.client, from, count);
+      } else if (roll < 75) {  // In-order commit, never far past submission.
+        txs = Seqs(s.client, s.committed, std::min<uint64_t>(count, s.next + 64 - s.committed));
+        s.committed += txs.size();
+      } else if (roll < 85) {
+        txs = Seqs(s.client, from, count);
+      } else {
+        p.Take(rng.UniformU64(500));
+        continue;
+      }
+      if (txs.empty()) {
+        continue;  // Past the top of client 3's seqs.
+      }
+      if (rng.Chance(0.1)) {  // An overlapping run in the same batch.
+        const uint64_t seq = static_cast<uint32_t>(txs[rng.UniformU64(txs.size())].id);
+        txs = Concat(txs, Seqs(s.client, seq, 1 + rng.UniformU64(64)));
+      }
+      if (s.client == 3 && static_cast<uint32_t>(txs.back().id) == UINT32_MAX) {
+        txs = Concat(txs, Seqs(4, 0, rng.UniformU64(50)));  // Across to client 4.
+      }
+      if (roll < 55) {
+        p.Add(txs);
+      } else {
+        p.Commit(txs);
+      }
+    }
+    p.Take(SIZE_MAX);
+    ASSERT_FALSE(HasFatalFailure()) << "seed " << seed;
   }
 }
 

@@ -196,20 +196,33 @@ TEST(LinearizabilityTest, KeysArePartitionedIndependently) {
 
 // --- Part 2: the real pipeline, honest runs ---
 
-// Acceptance criterion (ISSUE 6): a reboot-weighted 200-seed honest sweep with the KV app
-// enabled passes every oracle — including the linearizability oracle, which runs on every
-// seed — across all ten protocols (the seed round-robins the protocol).
-TEST(KvChaosSweepTest, HonestRebootWeightedSweepIsClean) {
+// A reboot-weighted 200-seed honest sweep with the KV app enabled passes every oracle —
+// including the linearizability oracle, which runs on every seed — across all ten
+// protocols (the seed round-robins the protocol). The seeds run in eight blocks of 25,
+// each its own ctest entry (tests/CMakeLists.txt), so `ctest -j` runs them side by side.
+constexpr uint64_t kSweepSeeds = 200;
+constexpr uint64_t kSweepBlock = 25;
+
+class KvChaosSweepShardTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(KvChaosSweepShardTest, HonestRebootWeightedSweepIsClean) {
   ChaosOptions options;
   options.app_kv = true;
   options.reboot_prob = 0.85;
-  for (uint64_t seed = 1; seed <= 200; ++seed) {
+  for (uint64_t seed = GetParam(); seed < GetParam() + kSweepBlock; ++seed) {
     const ChaosResult result = chaos::RunChaosSeed(options, seed);
     ASSERT_TRUE(result.ok) << "seed " << seed << " (" << ProtocolName(result.protocol)
                            << "): " << result.violation;
     EXPECT_FALSE(result.history_digest_hex.empty());
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KvChaosSweepShardTest,
+                         ::testing::Range<uint64_t>(1, kSweepSeeds + 1, kSweepBlock),
+                         [](const ::testing::TestParamInfo<uint64_t>& param_info) {
+                           return std::to_string(param_info.param) + "To" +
+                                  std::to_string(param_info.param + kSweepBlock - 1);
+                         });
 
 TEST(KvChaosSweepTest, ReplayIsDigestStableDownToTheHistory) {
   ChaosOptions options;
