@@ -1,5 +1,8 @@
 #include "src/crypto/signer.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "src/common/check.h"
 #include "src/crypto/hmac.h"
 
@@ -8,8 +11,17 @@ namespace achilles {
 namespace {
 constexpr size_t kHmacTagSize = 32;
 // The fast mode models a 64-byte ECDSA signature on the wire; the tag itself is 32 bytes, so
-// we pad with the signer-bound derivation to keep encoded size honest.
+// it is padded with zeros to keep encoded size honest.
 constexpr size_t kModeledSigSize = 64;
+constexpr size_t kMemoIndexOffset = 8;
+static_assert(kSchnorrSignatureSize <= UINT8_MAX && CryptoSuite::kMemoMaxMsg <= UINT8_MAX,
+              "memo slot lengths are stored in one byte");
+
+// Whether a (blob, message) pair fits a memo slot; other inputs are always recomputed.
+bool Memoisable(const Bytes& blob, ByteView msg) {
+  return blob.size() >= kMemoIndexOffset + sizeof(uint64_t) &&
+         blob.size() <= kSchnorrSignatureSize && msg.size() <= CryptoSuite::kMemoMaxMsg;
+}
 }  // namespace
 
 CryptoSuite::CryptoSuite(SignatureScheme scheme, uint32_t num_parties, uint64_t seed)
@@ -60,19 +72,14 @@ Signature CryptoSuite::Sign(uint32_t signer, ByteView msg) const {
 }
 
 bool CryptoSuite::Verify(const Signature& sig, ByteView msg) const {
-  if (sig.signer >= num_parties_) {
+  if (MemoHit(sig, msg)) {
+    return true;
+  }
+  if (!VerifyUncached(sig, msg)) {
     return false;
   }
-  if (scheme_ == SignatureScheme::kSchnorr) {
-    return SchnorrVerify(schnorr_keys_[sig.signer].pub, msg,
-                         ByteView(sig.blob.data(), sig.blob.size()));
-  }
-  if (sig.blob.size() != kModeledSigSize) {
-    return false;
-  }
-  const Hash256 tag = hmac_scheds_[sig.signer].Mac(msg);
-  return ConstantTimeEqual(ByteView(sig.blob.data(), kHmacTagSize),
-                           ByteView(tag.data(), tag.size()));
+  MemoStore(sig, msg);
+  return true;
 }
 
 bool CryptoSuite::VerifyQuorum(const std::vector<Signature>& sigs, ByteView msg,
@@ -104,6 +111,57 @@ bool CryptoSuite::VerifyQuorum(const std::vector<Signature>& sigs, ByteView msg,
     }
   }
   return sigs.size() >= quorum;
+}
+
+size_t CryptoSuite::MemoSlotOf(const Bytes& blob) {
+  ACHILLES_CHECK(blob.size() >= kMemoIndexOffset + sizeof(uint64_t));
+  uint64_t bits;
+  std::memcpy(&bits, blob.data() + kMemoIndexOffset, sizeof(bits));
+  return static_cast<size_t>(bits % kMemoSlots);
+}
+
+bool CryptoSuite::VerifyUncached(const Signature& sig, ByteView msg) const {
+  if (sig.signer >= num_parties_) {
+    return false;
+  }
+  if (scheme_ == SignatureScheme::kSchnorr) {
+    return SchnorrVerify(schnorr_keys_[sig.signer].pub, msg,
+                         ByteView(sig.blob.data(), sig.blob.size()));
+  }
+  if (sig.blob.size() != kModeledSigSize ||
+      !std::all_of(sig.blob.begin() + kHmacTagSize, sig.blob.end(),
+                   [](uint8_t b) { return b == 0; })) {
+    return false;
+  }
+  const Hash256 tag = hmac_scheds_[sig.signer].Mac(msg);
+  return ConstantTimeEqual(ByteView(sig.blob.data(), kHmacTagSize),
+                           ByteView(tag.data(), tag.size()));
+}
+
+bool CryptoSuite::MemoHit(const Signature& sig, ByteView msg) const {
+  if (memo_.empty() || !Memoisable(sig.blob, msg)) {
+    return false;
+  }
+  const MemoSlot& slot = memo_[MemoSlotOf(sig.blob)];
+  return slot.blob_len == sig.blob.size() && slot.signer == sig.signer &&
+         slot.msg_len == msg.size() &&
+         std::equal(sig.blob.begin(), sig.blob.end(), slot.blob.begin()) &&
+         std::equal(msg.begin(), msg.end(), slot.msg.begin());
+}
+
+void CryptoSuite::MemoStore(const Signature& sig, ByteView msg) const {
+  if (!Memoisable(sig.blob, msg)) {
+    return;
+  }
+  if (memo_.empty()) {
+    memo_.resize(kMemoSlots);
+  }
+  MemoSlot& slot = memo_[MemoSlotOf(sig.blob)];
+  slot.signer = sig.signer;
+  slot.blob_len = static_cast<uint8_t>(sig.blob.size());
+  slot.msg_len = static_cast<uint8_t>(msg.size());
+  std::copy(sig.blob.begin(), sig.blob.end(), slot.blob.begin());
+  std::copy(msg.begin(), msg.end(), slot.msg.begin());
 }
 
 const AffinePoint& CryptoSuite::PublicKey(uint32_t party) const {

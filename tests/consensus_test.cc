@@ -154,6 +154,78 @@ TEST(BlockStoreTest, PathBetweenReturnsOrderedChain) {
   EXPECT_TRUE(store.PathBetween(b1->hash, fork->hash).empty());
 }
 
+// Checks the store against the blocks of `pool` expected present: membership, size and
+// an ApproxBytes() recounted from scratch.
+void ExpectStoreHolds(const BlockStore& store, const std::vector<BlockPtr>& pool,
+                      const std::unordered_set<const Block*>& present) {
+  uint64_t bytes = Block::Genesis()->WireSize();
+  for (const BlockPtr& b : pool) {
+    EXPECT_EQ(store.Has(b->hash), present.count(b.get()) > 0) << "height " << b->height;
+    if (present.count(b.get()) > 0) {
+      bytes += b->WireSize();
+    }
+  }
+  EXPECT_TRUE(store.Has(Block::Genesis()->hash));
+  EXPECT_EQ(store.size(), present.size() + 1);
+  EXPECT_EQ(store.ApproxBytes(), bytes);
+}
+
+TEST(BlockStoreTest, PruneBelowDropsExactlyTheBlocksUnderTheEdge) {
+  // Heights 1..12 with three-way forks at heights 3 and 7; fork siblings carry different
+  // payloads, so their wire sizes differ.
+  std::vector<BlockPtr> pool;
+  BlockPtr parent = Block::Genesis();
+  for (Height h = 1; h <= 12; ++h) {
+    const uint32_t width = (h == 3 || h == 7) ? 3 : 1;
+    for (uint32_t k = 0; k < width; ++k) {
+      pool.push_back(
+          Block::Create(h, parent, MakeTxs(static_cast<uint32_t>(h * 10 + k), k + 1), 0));
+    }
+    parent = pool.back();
+  }
+  BlockStore store;
+  std::unordered_set<const Block*> present;
+  auto add = [&](const BlockPtr& b) {
+    store.Add(b);
+    present.insert(b.get());
+  };
+  auto prune = [&](Height keep_from) {
+    store.PruneBelow(keep_from);
+    for (auto it = present.begin(); it != present.end();) {
+      it = (*it)->height < keep_from ? present.erase(it) : std::next(it);
+    }
+    ExpectStoreHolds(store, pool, present);
+  };
+  // Out of height order, as sync backfill delivers them.
+  for (size_t i = pool.size(); i-- > 0;) {
+    add(pool[i]);
+  }
+  ExpectStoreHolds(store, pool, present);
+  prune(0);
+  prune(1);
+  prune(4);  // Drops heights 1-3, all three height-3 siblings included.
+  prune(4);  // Idempotent.
+  add(pool[3]);  // Re-Add a pruned height-3 block: it is back, counted once.
+  add(pool[3]);
+  ExpectStoreHolds(store, pool, present);
+  prune(8);
+  add(pool[9]);  // A pruned height-7 sibling.
+  ExpectStoreHolds(store, pool, present);
+  prune(100);  // Everything but genesis.
+  EXPECT_EQ(store.size(), 1u);
+
+  // Random Add/PruneBelow interleavings against the same model.
+  Rng rng(7);
+  for (int op = 0; op < 2000; ++op) {
+    if (rng.UniformU64(4) == 0) {
+      prune(static_cast<Height>(rng.UniformU64(14)));
+    } else {
+      add(pool[rng.UniformU64(pool.size())]);
+    }
+  }
+  ExpectStoreHolds(store, pool, present);
+}
+
 // --- Mempool ---
 
 TEST(MempoolTest, FifoBatching) {

@@ -354,6 +354,250 @@ TEST_P(CryptoSuiteTest, SignatureWireSizeIsStable) {
   EXPECT_EQ(a.WireSize(), b.WireSize());
 }
 
+TEST_P(CryptoSuiteTest, RejectsTamperedPadding) {
+  // Every byte past the first 32 is either fast-mode padding (which must be zero) or part of
+  // a Schnorr signature: flipping any of them yields a blob that must not verify, before and
+  // after the untouched blob has been memoised.
+  CryptoSuite suite(GetParam(), 3, 9);
+  const Signature sig = suite.Sign(1, AsBytes("padded"));
+  for (bool memoised : {false, true}) {
+    for (size_t i = 32; i < sig.blob.size(); ++i) {
+      Signature bad = sig;
+      bad.blob[i] ^= 0x01;
+      EXPECT_FALSE(suite.Verify(bad, AsBytes("padded"))) << "byte " << i;
+    }
+    EXPECT_TRUE(suite.Verify(sig, AsBytes("padded"))) << memoised;
+  }
+}
+
+// --- CryptoSuite verified-signature memo ---
+
+}  // namespace
+
+// Reads the memo's private layout; the public API stays Sign/Verify/VerifyQuorum.
+struct CryptoSuiteTestPeer {
+  static size_t MemoSlotOf(const Bytes& blob) { return CryptoSuite::MemoSlotOf(blob); }
+  // Host bytes the memo holds: 0 until the first true answer, then fixed.
+  static size_t MemoBytes(const CryptoSuite& suite) {
+    return suite.memo_.capacity() * sizeof(CryptoSuite::MemoSlot);
+  }
+};
+
+namespace {
+
+using Peer = CryptoSuiteTestPeer;
+
+Bytes MemoMsg(uint64_t i, size_t len = 40) {
+  Bytes m(len, 0);
+  for (size_t b = 0; b < len; ++b) {
+    m[b] = static_cast<uint8_t>((i >> (8 * (b % 8))) + b);
+  }
+  return m;
+}
+
+ByteView View(const Bytes& b) { return ByteView(b.data(), b.size()); }
+
+TEST_P(CryptoSuiteTest, MemoHitNeedsSameSignerBlobAndMessage) {
+  CryptoSuite suite(GetParam(), 4, 21);
+  const CryptoSuite fresh(GetParam(), 4, 21);
+  const Bytes msg = MemoMsg(1);
+  const Bytes other = MemoMsg(2);
+  const Signature sig = suite.Sign(2, View(msg));
+  ASSERT_TRUE(suite.Verify(sig, View(msg)));
+  ASSERT_TRUE(suite.Verify(sig, View(msg)));  // Hit.
+
+  Signature wrong_signer = sig;
+  wrong_signer.signer = 3;
+  Signature wrong_blob = sig;
+  wrong_blob.blob[0] ^= 0x80;
+  for (const auto& [s, m] : {std::pair{wrong_signer, msg}, std::pair{wrong_blob, msg},
+                             std::pair{sig, other}}) {
+    EXPECT_FALSE(suite.Verify(s, View(m)));
+    EXPECT_EQ(suite.Verify(s, View(m)), fresh.Verify(s, View(m)));
+  }
+  // A second valid signature of the same message by another signer is its own entry.
+  const Signature peer = suite.Sign(0, View(msg));
+  EXPECT_TRUE(suite.Verify(peer, View(msg)));
+  EXPECT_TRUE(suite.Verify(sig, View(msg)));
+}
+
+TEST_P(CryptoSuiteTest, ForgedBlobInValidSlotIsRejected) {
+  CryptoSuite suite(GetParam(), 3, 5);
+  const Bytes msg = MemoMsg(7);
+  const Signature sig = suite.Sign(1, View(msg));
+  ASSERT_TRUE(suite.Verify(sig, View(msg)));
+  // Bytes outside the slot-index window leave the slot unchanged: the forgery lands on the
+  // memoised valid triple and must still be rejected.
+  for (size_t i : {size_t{0}, size_t{7}, size_t{16}, size_t{31}, sig.blob.size() - 1}) {
+    Signature forged = sig;
+    forged.blob[i] ^= 0x04;
+    ASSERT_EQ(Peer::MemoSlotOf(forged.blob), Peer::MemoSlotOf(sig.blob));
+    EXPECT_FALSE(suite.Verify(forged, View(msg))) << "byte " << i;
+  }
+  Signature longer = sig;  // Same prefix, one extra byte.
+  longer.blob.push_back(0);
+  EXPECT_FALSE(suite.Verify(longer, View(msg)));
+  EXPECT_TRUE(suite.Verify(sig, View(msg)));
+}
+
+TEST_P(CryptoSuiteTest, SlotCollisionEvictionOnlyCostsARecompute) {
+  CryptoSuite suite(GetParam(), 2, 33);
+  // Sign distinct messages until two signatures share a slot (birthday bound: ~40 tries).
+  std::vector<std::pair<Signature, Bytes>> seen(CryptoSuite::kMemoSlots);
+  std::vector<bool> used(CryptoSuite::kMemoSlots, false);
+  std::pair<Signature, Bytes> a;
+  std::pair<Signature, Bytes> b;
+  for (uint64_t i = 0;; ++i) {
+    ASSERT_LT(i, 2000u);
+    Bytes msg = MemoMsg(i);
+    Signature sig = suite.Sign(static_cast<uint32_t>(i % 2), View(msg));
+    const size_t slot = Peer::MemoSlotOf(sig.blob);
+    if (used[slot]) {
+      a = seen[slot];
+      b = {std::move(sig), std::move(msg)};
+      break;
+    }
+    used[slot] = true;
+    seen[slot] = {std::move(sig), std::move(msg)};
+  }
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_TRUE(suite.Verify(a.first, View(a.second)));
+    EXPECT_TRUE(suite.Verify(b.first, View(b.second)));  // Evicts a.
+    EXPECT_FALSE(suite.Verify(a.first, View(b.second)));
+    EXPECT_FALSE(suite.Verify(b.first, View(a.second)));
+  }
+}
+
+TEST_P(CryptoSuiteTest, MemoFootprintIsFixed) {
+  const bool schnorr = GetParam() == SignatureScheme::kSchnorr;
+  CryptoSuite suite(GetParam(), 4, 44);
+  const Signature sig = suite.Sign(0, AsBytes("m"));
+  EXPECT_EQ(Peer::MemoBytes(suite), 0u);  // Nothing allocated before a true answer.
+  EXPECT_FALSE(suite.Verify(sig, AsBytes("x")));
+  Signature bad0 = sig;
+  bad0.blob[0] ^= 0x01;
+  Signature bad1 = sig;
+  bad1.signer = 1;
+  EXPECT_FALSE(suite.VerifyQuorum({bad0, bad1}, AsBytes("m"), 2));
+  EXPECT_EQ(Peer::MemoBytes(suite), 0u);
+  // Messages over the cap always recompute and are never stored.
+  const Bytes long_msg = MemoMsg(3, CryptoSuite::kMemoMaxMsg + 1);
+  const Signature long_sig = suite.Sign(1, View(long_msg));
+  EXPECT_TRUE(suite.Verify(long_sig, View(long_msg)));
+  EXPECT_TRUE(suite.Verify(long_sig, View(long_msg)));
+  EXPECT_EQ(Peer::MemoBytes(suite), 0u);
+
+  EXPECT_TRUE(suite.Verify(sig, AsBytes("m")));
+  const size_t footprint = Peer::MemoBytes(suite);
+  EXPECT_GT(footprint, 0u);
+  EXPECT_LE(footprint, 256u * 1024);
+  const uint64_t distinct = schnorr ? 300 : 100000;
+  for (uint64_t i = 0; i < distinct; ++i) {
+    const Bytes msg = MemoMsg(i);
+    ASSERT_TRUE(suite.Verify(suite.Sign(static_cast<uint32_t>(i % 4), View(msg)), View(msg)));
+  }
+  EXPECT_EQ(Peer::MemoBytes(suite), footprint);
+  EXPECT_TRUE(suite.Verify(sig, AsBytes("m")));
+}
+
+// Random Verify / VerifyQuorum traffic over valid, replayed and tampered inputs, each
+// answer checked against a freshly constructed suite of the same (scheme, n, seed): a fresh
+// suite has an empty memo, so it answers as if no memo existed. Signing is deterministic and
+// the message pool is small, so (signer, message) pairs recur and later checks hit the memo.
+TEST_P(CryptoSuiteTest, MemoDifferentialFuzzAgainstFreshSuite) {
+  const bool schnorr = GetParam() == SignatureScheme::kSchnorr;
+  const uint64_t seeds = schnorr ? 2 : 20;
+  const int ops = schnorr ? 150 : 5000;
+  constexpr uint32_t kParties = 5;
+  for (uint64_t seed = 1; seed <= seeds; ++seed) {
+    Rng rng(seed);
+    CryptoSuite suite(GetParam(), kParties, seed);
+    std::vector<Bytes> msgs;
+    for (size_t i = 0; i < 6; ++i) {
+      Bytes m;
+      rng.Fill(m, 24 + 16 * (i / 2));  // Pairs of equal length.
+      msgs.push_back(std::move(m));
+    }
+    Bytes over_cap;  // Never memoised.
+    rng.Fill(over_cap, CryptoSuite::kMemoMaxMsg + 1);
+    msgs.push_back(std::move(over_cap));
+    auto pick_msg = [&] { return static_cast<size_t>(rng.UniformU64(msgs.size())); };
+    auto pick_signer = [&] { return static_cast<uint32_t>(rng.UniformU64(kParties)); };
+    auto flip = [&](Signature& sig, size_t lo, size_t hi) {
+      sig.blob[lo + rng.UniformU64(hi - lo)] ^= static_cast<uint8_t>(1u << rng.UniformU64(8));
+    };
+
+    for (int op = 0; op < ops; ++op) {
+      const CryptoSuite fresh(GetParam(), kParties, seed);
+      const size_t m = pick_msg();
+      const uint32_t signer = pick_signer();
+      Signature sig = suite.Sign(signer, View(msgs[m]));
+      size_t verify_msg = m;
+      const uint64_t kind = rng.UniformU64(9);
+      if (kind == 8) {
+        // Quorum over msgs[m] from a random set of signers, possibly broken.
+        std::vector<Signature> sigs;
+        for (uint32_t p = 0; p < kParties; ++p) {
+          if (rng.Chance(0.7)) {
+            sigs.push_back(suite.Sign(p, View(msgs[m])));
+          }
+        }
+        if (!sigs.empty()) {
+          const size_t j = rng.UniformU64(sigs.size());
+          switch (rng.UniformU64(5)) {
+            case 0:  // Duplicated signer.
+              sigs.push_back(sigs[j]);
+              break;
+            case 1:  // One tampered blob.
+              flip(sigs[j], 0, sigs[j].blob.size());
+              break;
+            case 2:  // One signature over another message.
+              sigs[j] = suite.Sign(sigs[j].signer, View(msgs[(m + 1) % msgs.size()]));
+              break;
+            default:  // Valid.
+              break;
+          }
+        }
+        const size_t quorum = rng.UniformU64(kParties + 2);
+        ASSERT_EQ(suite.VerifyQuorum(sigs, View(msgs[m]), quorum),
+                  fresh.VerifyQuorum(sigs, View(msgs[m]), quorum))
+            << "seed " << seed << " op " << op << " quorum";
+        continue;
+      }
+      switch (kind) {
+        case 2:  // Cross-signer: another party claims the blob.
+          sig.signer = (signer + 1 + static_cast<uint32_t>(rng.UniformU64(kParties - 1))) %
+                       kParties;
+          break;
+        case 3:  // Message swap.
+          verify_msg = (m + 1 + rng.UniformU64(msgs.size() - 1)) % msgs.size();
+          break;
+        case 4:  // Padding (fast mode) / second half of the blob.
+          flip(sig, 32, sig.blob.size());
+          break;
+        case 5:  // Tag / first 32 bytes.
+          flip(sig, 0, 32);
+          break;
+        case 6:  // Truncated or extended blob.
+          if (rng.Chance(0.5)) {
+            sig.blob.resize(rng.UniformU64(sig.blob.size()));
+          } else {
+            sig.blob.push_back(0);
+          }
+          break;
+        case 7:  // Out-of-range signer.
+          sig.signer = kParties + static_cast<uint32_t>(rng.UniformU64(3));
+          break;
+        default:  // Valid, and replayed once the pair recurs.
+          break;
+      }
+      ASSERT_EQ(suite.Verify(sig, View(msgs[verify_msg])),
+                fresh.Verify(sig, View(msgs[verify_msg])))
+          << "seed " << seed << " op " << op << " kind " << kind;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSchemes, CryptoSuiteTest,
                          ::testing::Values(SignatureScheme::kSchnorr,
                                            SignatureScheme::kFastHmac));
